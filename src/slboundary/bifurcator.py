@@ -235,11 +235,13 @@ def boundary_test(
     lo = max(b.r_min, c.r_min, 1e-9)
     rs = np.geomspace(lo, r_max, grid_size)
     bv, cv = b.values(rs), c.values(rs)
-    low = cv < bv * (1.0 - 1e-12) - 1e-300
-    if np.any(low):
-        r_bad = rs[int(np.argmax(low))]
+    # Written so that NaN and non-finite values of c fail the check.
+    ok = np.isfinite(cv) & (cv >= bv * (1.0 - 1e-12) - 1e-300)
+    if not np.all(ok):
+        r_bad = rs[int(np.argmin(ok))]
         raise ExceedanceViolated(
-            f"comparison profile falls below the bifurcator at r = {r_bad:.9g}"
+            f"comparison profile is not finite or falls below the bifurcator "
+            f"at r = {r_bad:.9g}"
         )
 
     start = max(b.r_min, c.r_min)
@@ -283,7 +285,8 @@ def noncompact_side_check(
     sup, bv = profile_sup.values(rs), b.values(rs)
     dyad = rs >= r_max / 2.0
     liminf_diag = float(np.min(bv[dyad]))
-    if np.all(sup <= bv * (1.0 + 1e-12)):
+    ok = np.isfinite(sup) & (sup <= bv * (1.0 + 1e-12))
+    if np.all(ok):
         return BoundaryVerdict(
             verdict="NoncompactSide",
             second_zero=None,
@@ -291,11 +294,11 @@ def noncompact_side_check(
                    f"min b over the last dyad = {liminf_diag:.6g}",
             r_max=r_max,
         )
-    r_bad = rs[int(np.argmax(sup > bv * (1.0 + 1e-12)))]
+    r_bad = rs[int(np.argmin(ok))]
     return BoundaryVerdict(
         verdict="NotApplicable",
         second_zero=None,
-        detail=f"sup-profile exceeds the bifurcator at r = {r_bad:.9g}; "
+        detail=f"sup-profile is not finite or exceeds the bifurcator at r = {r_bad:.9g}; "
                f"min b over the last dyad = {liminf_diag:.6g}",
         r_max=r_max,
     )

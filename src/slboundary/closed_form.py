@@ -116,6 +116,45 @@ def critical_decay(r, mu: float = 0.0, k: int = 0):
     return out if out.ndim else float(out)
 
 
+def log_product_float(k: int, r: float) -> float:
+    """log_product for one float, with math and in the same operation order."""
+    if not r > superpower(k):
+        raise DomainError(f"log_product({k}, .) requires r > {superpower(k)}")
+    prod = cur = r
+    for _ in range(k):
+        cur = math.log(cur)
+        prod = prod * cur
+    return prod
+
+
+def critical_decay_float(r: float, mu: float = 0.0, k: int = 0) -> float:
+    """critical_decay for one float, with math and in the same operation order.
+
+    Raises the same DomainError as critical_decay; agrees with it to a few
+    ulps (math.log and numpy's log may round differently).
+    """
+    if not (math.isfinite(r) and r > 0.0):
+        raise DomainError("critical_decay requires finite positive r")
+    total = 0.0
+    prod = cur = r
+    for _ in range(k):
+        total += _over_square(1.0, prod)
+        cur = math.log(cur)
+        if cur <= 0.0:
+            raise DomainError(
+                f"critical_decay depth {k} requires r > {superpower(k)}"
+            )
+        prod = prod * cur
+    total += _over_square(1.0 + 4.0 * mu * mu, prod)
+    return 0.25 * total
+
+
+def _over_square(num: float, x: float) -> float:
+    """num / x**2, giving inf as numpy does where x**2 underflows to 0."""
+    sq = x * x
+    return num / sq if sq else math.inf
+
+
 def _tau(k: int, r):
     """Oscillation variable for the depth-k family: the (k+1)-fold logarithm."""
     x = np.asarray(r, dtype=float)

@@ -19,9 +19,17 @@ from typing import Optional
 import numpy as np
 
 from . import closed_form
-from .closed_form import KickSpec, critical_decay, iter_log, second_zero_closed_form, superpower
+from .closed_form import (
+    KickSpec,
+    critical_decay,
+    critical_decay_float,
+    iter_log,
+    log_product_float,
+    second_zero_closed_form,
+    superpower,
+)
 from .errors import InvalidShell, NoSecondZero
-from .sl_engine import CurvatureProfile, find_second_zero
+from .sl_engine import CurvatureProfile, coefficient_func, find_second_zero
 
 #: Threshold value quoted in the source remark for the shell a = e, b = e^2.
 #: The defining equation for r0 = 1 reduces to cot(lam) = lam, whose smallest
@@ -97,31 +105,38 @@ def threshold_residual(lam: float, k: int, r0: float, a: float, b: float) -> flo
 
 def kicked_profile(spec: KickSpec) -> CurvatureProfile:
     """Coefficient of the kicked equation: critical_decay with mu on [a, b] only."""
+    k, a, b, mu2 = spec.k, spec.a, spec.b, spec.mu**2
 
-    def f(r):
-        r = np.asarray(r, dtype=float)
-        chi = (r >= spec.a) & (r <= spec.b)
-        base = critical_decay(r, 0.0, spec.k)
-        bump = (spec.mu**2) / closed_form.log_product(spec.k, r) ** 2
-        out = base + np.where(chi, bump, 0.0)
-        return out if out.ndim else float(out)
+    def vector(r):
+        chi = (r >= a) & (r <= b)
+        base = critical_decay(r, 0.0, k)
+        bump = mu2 / closed_form.log_product(k, r) ** 2
+        return base + np.where(chi, bump, 0.0)
+
+    def scalar(r):
+        base = critical_decay_float(r, 0.0, k)
+        if a <= r <= b:
+            lp = log_product_float(k, r)
+            return base + mu2 / (lp * lp)
+        return base
 
     return CurvatureProfile(
-        func=f,
-        r_min=superpower(spec.k) * (1 + 1e-12) if spec.k else 1e-12,
-        label=f"kicked[k={spec.k}, r0={spec.r0:g}, a={spec.a:g}, b={spec.b:g}, mu={spec.mu:g}]",
-        breakpoints=(spec.a, spec.b),
+        func=coefficient_func(scalar, vector),
+        r_min=superpower(k) * (1 + 1e-12) if k else 1e-12,
+        label=f"kicked[k={k}, r0={spec.r0:g}, a={a:g}, b={b:g}, mu={spec.mu:g}]",
+        breakpoints=(a, b),
     )
 
 
 def equality_profile(k: int = 0, r_min: Optional[float] = None) -> CurvatureProfile:
     """The depth-k critical decay with no kick (the boundary-equality case)."""
-
-    def f(r):
-        return critical_decay(r, 0.0, k)
-
     lo = r_min if r_min is not None else (superpower(k) * (1 + 1e-12) if k else 1e-12)
-    return CurvatureProfile(func=f, r_min=lo, label=f"critical-equality[k={k}]")
+    return CurvatureProfile(
+        func=coefficient_func(lambda r: critical_decay_float(r, 0.0, k),
+                              lambda r: critical_decay(r, 0.0, k)),
+        r_min=lo,
+        label=f"critical-equality[k={k}]",
+    )
 
 
 def remark_shell_note(k: int, r0: float, a: float, b: float) -> Optional[str]:
@@ -233,7 +248,8 @@ def certify(
         if bifurcator_profile is not None:
             rs = np.geomspace(max(profile.r_min, bifurcator_profile.r_min, 1e-6),
                               r_max, grid_size)
-            if np.all(profile.values(rs) <= bifurcator_profile.values(rs) * (1 + 1e-12)):
+            sup = profile.values(rs)
+            if np.all(np.isfinite(sup) & (sup <= bifurcator_profile.values(rs) * (1 + 1e-12))):
                 return Certificate(
                     verdict="NoncompactSide", r0=None, r1=None, diameter_bound=None,
                     threshold=lam, spec=spec_echo, grid_size=grid_size,
@@ -247,23 +263,29 @@ def certify(
             tolerances=tolerances, discrepancy_notes=tuple(notes), reason=reason,
         )
 
+    # Each check is written to pass only on finite values: NaN compares
+    # False, and an infinite value would pass any inequality it sits on.
     # Base hypothesis: profile >= critical decay everywhere past r0.
     rs = np.geomspace(spec.r0, r_max, grid_size)
     base = critical_decay(rs, 0.0, spec.k)
     vals = profile.values(rs)
-    slack = vals - base
-    bad = slack < -1e-12 * (np.abs(base) + np.abs(vals))
-    if np.any(bad):
-        r_bad = rs[np.argmax(bad)]
+    ok = np.isfinite(vals) & (vals - base >= -1e-12 * (np.abs(base) + np.abs(vals)))
+    if not np.all(ok):
+        r_bad = rs[np.argmin(ok)]
         return inconclusive(f"base decay hypothesis fails at r = {r_bad:.9g}")
 
     # Shell hypothesis: implied kick amplitude above threshold with margin.
     shell = np.geomspace(spec.a, spec.b, max(2000, grid_size // 5))
-    excess = profile.values(shell) - critical_decay(shell, 0.0, spec.k)
+    shell_vals = profile.values(shell)
+    finite = np.isfinite(shell_vals)
+    if not np.all(finite):
+        r_bad = shell[np.argmin(finite)]
+        return inconclusive(f"profile is not finite at r = {r_bad:.9g} on the shell")
+    excess = shell_vals - critical_decay(shell, 0.0, spec.k)
     prod = closed_form.log_product(spec.k, shell)
     mu_implied = np.sqrt(np.clip(excess, 0.0, None)) * prod
     mu_eff = float(np.min(mu_implied))
-    if mu_eff <= lam * (1.0 + 1e-9) + margin:
+    if not mu_eff > lam * (1.0 + 1e-9) + margin:
         r_bad = shell[int(np.argmin(mu_implied))]
         return inconclusive(
             f"no kick margin above threshold: implied amplitude {mu_eff:.9g} "

@@ -11,6 +11,7 @@ grid and polished on the dense interpolant.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -28,8 +29,10 @@ _TINY_SIGN = 1e-300
 class CurvatureProfile:
     """A positive radial curvature coefficient r -> b(r) on [r_min, infinity).
 
-    eval must be deterministic; breakpoints lists interior radii where the
-    coefficient is allowed to jump (the integrator splits there).
+    func must be deterministic and take either a float (the ODE right-hand
+    side, profile(r)) or a float array (values); coefficient_func builds one
+    from a scalar and a vector kernel.  breakpoints lists interior radii
+    where the coefficient is allowed to jump (the integrator splits there).
     """
 
     func: Callable[[float], float]
@@ -52,27 +55,114 @@ class CurvatureProfile:
         return np.array([float(self.func(float(r))) for r in np.atleast_1d(rs)])
 
 
+def coefficient_func(scalar, vector):
+    """A CurvatureProfile.func built from a float kernel and an array kernel.
+
+    The ODE right-hand side calls func with one float per stage, where a
+    0-d numpy evaluation costs far more than the arithmetic; floats go to
+    scalar, everything else goes to vector as a float array (0-d arrays
+    are unwrapped to a float and take the scalar kernel).  The solver's
+    stage radii are numpy float64s, whose arithmetic is slower than a
+    Python float's, so scalar always receives a Python float.
+    """
+
+    def func(r):
+        if isinstance(r, float):
+            return scalar(float(r))
+        x = np.asarray(r, dtype=float)
+        return vector(x) if x.ndim else scalar(float(x))
+
+    return func
+
+
+class _StackedDop853:
+    """One solve_ivp piece's DOP853 dense output, evaluated in one pass.
+
+    scipy's OdeSolution makes a Python call per segment; here each
+    segment's t_old, h, y_old and F are stacked once, a point takes
+    OdeSolution's own segment (searchsorted(ts, t, side="left") - 1,
+    clipped), and Dop853DenseOutput's recurrence runs over all points at
+    once, with the same operations in the same order, so the values are
+    bit-identical to OdeSolution.__call__.  `at` runs the same recurrence
+    in float arithmetic for one point, where numpy's per-call overhead
+    would dominate.
+    """
+
+    def __init__(self, sol):
+        segments = sol.interpolants
+        self.ts = sol.ts
+        self._inner = sol.ts[1:-1]
+        self.t_old = np.array([s.t_old for s in segments], dtype=float)
+        self.h = np.array([s.h for s in segments], dtype=float)
+        self.y_old = np.array([s.y_old for s in segments], dtype=float)
+        # (power, segment, state), highest power first as the recurrence reads it
+        self.F = np.stack([s.F for s in segments], axis=1)[::-1].copy()
+
+    def __call__(self, t):
+        """(w, w') arrays at the points of the 1-d array t."""
+        # searchsorted(ts, t, side="left") - 1 clipped to a valid segment
+        seg = np.searchsorted(self._inner, t, side="left")
+        x = ((t - self.t_old[seg]) / self.h[seg])[:, None]
+        factors = (x, 1 - x)
+        y = np.zeros((len(t), self.F.shape[2]))
+        for i, f in enumerate(self.F):
+            y += f[seg]
+            y *= factors[i % 2]
+        y += self.y_old[seg]
+        return y[:, 0], y[:, 1]
+
+    def at(self, t: float) -> tuple[float, float]:
+        """(w, w') floats at one point."""
+        seg = int(self._inner.searchsorted(t, side="left"))
+        x = float((t - self.t_old[seg]) / self.h[seg])
+        factors = (x, 1 - x)
+        w = wp = 0.0
+        for i, (f, fp) in enumerate(self.F[:, seg].tolist()):
+            w = (w + f) * factors[i % 2]
+            wp = (wp + fp) * factors[i % 2]
+        w0, wp0 = self.y_old[seg].tolist()
+        return w + w0, wp + wp0
+
+
 class _PiecewiseDense:
-    """Dense output stitched across breakpoints; evaluates (w, w')."""
+    """Dense output stitched across breakpoints; evaluates (w, w').
+
+    At a breakpoint the piece that starts there is used.  Radii outside
+    [r_start, r_end] raise DomainMismatch: the interpolants would only
+    extrapolate there.
+    """
 
     def __init__(self, pieces):
-        # pieces: list of (r_lo, r_hi, OdeSolution)
+        # pieces: list of (r_lo, r_hi, _StackedDop853)
         self.pieces = pieces
+        self._starts = [lo for lo, _, _ in pieces]
+        self._range = (pieces[0][0], pieces[-1][1])
+
+    def _outside(self, r) -> DomainMismatch:
+        lo, hi = self._range
+        return DomainMismatch(
+            f"r = {r!r} lies outside the integrated range [{lo!r}, {hi!r}]"
+        )
 
     def __call__(self, r):
-        r = np.asarray(r, dtype=float)
-        scalar = r.ndim == 0
-        rs = np.clip(np.atleast_1d(r), self.pieces[0][0], self.pieces[-1][1])
+        """(w, w') as floats at a scalar r, as arrays at an array r."""
+        lo, hi = self._range
+        if isinstance(r, float) or np.ndim(r) == 0:
+            r = float(r)
+            if not lo <= r <= hi:
+                raise self._outside(r)
+            return self.pieces[bisect.bisect_right(self._starts, r) - 1][2].at(r)
+        rs = np.asarray(r, dtype=float)
+        inside = (rs >= lo) & (rs <= hi)
+        if not inside.all():
+            raise self._outside(float(rs[np.argmin(inside)]))
+        which = np.searchsorted(self._starts, rs, side="right") - 1
         w = np.empty_like(rs)
         wp = np.empty_like(rs)
-        for lo, hi, sol in self.pieces:
-            mask = (rs >= lo) & (rs <= hi)
-            if np.any(mask):
-                vals = sol(rs[mask])
-                w[mask] = vals[0]
-                wp[mask] = vals[1]
-        if scalar:
-            return float(w[0]), float(wp[0])
+        for i, (_, _, piece) in enumerate(self.pieces):
+            mask = which == i
+            if mask.any():
+                w[mask], wp[mask] = piece(rs[mask])
         return w, wp
 
 
@@ -317,15 +407,11 @@ def integrate_sl(
     scales = (abs(w0), abs(w0p))
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         sol = _solve_piece(profile, lo, hi, y, tol, scale)
+        piece = _StackedDop853(sol.sol)
         grid, scales = _refine_grid(
-            profile,
-            lambda r, s=sol.sol: (s(r)[0], s(r)[1]),
-            sol.t,
-            tol,
-            _solver_rtol(tol),
-            scales,
+            profile, piece, sol.t, tol, _solver_rtol(tol), scales
         )
-        pieces.append((lo, hi, sol.sol))
+        pieces.append((lo, hi, piece))
         grids.append(grid)
         y = tuple(sol.y[:, -1])
 

@@ -11,8 +11,10 @@ and all asymptotic claims concern rho -> 1.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -21,7 +23,7 @@ from scipy.integrate import quad
 from scipy.interpolate import PchipInterpolator
 
 from .errors import DomainError
-from .sl_engine import CurvatureProfile
+from .sl_engine import CurvatureProfile, coefficient_func
 
 
 @dataclass(frozen=True)
@@ -250,20 +252,50 @@ def curvature_profile(
     )
     breaks = (r_first,) if s.cap is not None else ()
 
-    def f(r):
-        r = np.asarray(r, dtype=float)
+    def vector(r):
         if np.any(r > r_top * (1.0 + 1e-9)):
             raise DomainError(f"profile tabulated only up to r = {r_top:g}")
-        if np.any(r < 0.0):
-            raise DomainError("negative radius")
+        if not np.all(r >= 0.0):
+            raise DomainError("radius must be finite and non-negative")
         yv = interp(np.log(np.clip(r, r_first, r_top)))
         rho = (sup - np.exp(yv)) if finite else np.exp(yv)
         rho = np.clip(rho, rho_lo, rho_hi)
-        out = np.where(r <= r_first, k_inner, _gauss_exact_vec(s, rho))
-        return out if out.ndim else float(out)
+        return np.where(r <= r_first, k_inner, _gauss_exact_vec(s, rho))
+
+    # The same cubic for one float: PPoly's interval rule and power-sum
+    # order (c[0] is the cubic term).  The knots and coefficients are kept
+    # as flat float buffers: a Python float object per entry fragments the
+    # heap and raises peak memory.  numpy's log and exp on a float round as
+    # they do on arrays; math's differ by an ulp now and then, which
+    # rho = 1 - e^y near rho = 1 magnifies.
+    xk = array("d", interp.x)
+    c3, c2, c1, c0 = (array("d", row) for row in interp.c)
+    last = len(xk) - 2
+
+    def scalar(r):
+        if r > r_top * (1.0 + 1e-9):
+            raise DomainError(f"profile tabulated only up to r = {r_top:g}")
+        if not r >= 0.0:
+            raise DomainError("radius must be finite and non-negative")
+        if r <= r_first:
+            return k_inner
+        x = float(np.log(min(r, r_top)))
+        i = min(max(bisect.bisect_right(xk, x) - 1, 0), last)
+        h = x - xk[i]
+        h2 = h * h
+        yv = c0[i] + c1[i] * h + c2[i] * h2 + c3[i] * (h2 * h)
+        ey = float(np.exp(yv))
+        rho = (sup - ey) if finite else ey
+        rho = min(max(rho, rho_lo), rho_hi)
+        zp = s.dz(rho)
+        q = 1.0 + zp * zp
+        return zp * s.d2z(rho) / (rho * (q * q))
 
     return CurvatureProfile(
-        func=f, r_min=0.0, label=f"{s.label}-gauss", breakpoints=breaks
+        func=coefficient_func(scalar, vector),
+        r_min=0.0,
+        label=f"{s.label}-gauss",
+        breakpoints=breaks,
     )
 
 

@@ -109,6 +109,18 @@ class TestBoundaryTest:
         with pytest.raises(ExceedanceViolated):
             bf.boundary_test(ar, half, r_max=100.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_comparison_rejected(self, value):
+        bumped = bumped_arctan(0.05)
+
+        def f(r):
+            x = np.asarray(r, dtype=float)
+            return np.where((x > 100.0) & (x < 200.0), value, bumped.func(x))
+
+        holed = CurvatureProfile(func=f, label="holed", breakpoints=bumped.breakpoints)
+        with pytest.raises(ExceedanceViolated, match="not finite"):
+            bf.boundary_test(bf.arctan_profile(), holed, r_max=1e4)
+
     def test_margin_grows_find_zero_sooner(self):
         z5 = bf.boundary_test(bf.arctan_profile(), bumped_arctan(0.05), r_max=1e4).second_zero
         z20 = bf.boundary_test(bf.arctan_profile(), bumped_arctan(0.20), r_max=1e4).second_zero
@@ -125,6 +137,14 @@ class TestNoncompactSide:
         ar = bf.arctan_profile()
         two = CurvatureProfile(func=lambda r: 2.0 * ar.func(np.asarray(r)), label="2b")
         assert bf.noncompact_side_check(two, ar, r_max=1e4).verdict == "NotApplicable"
+
+    def test_non_finite_profile_not_applicable(self):
+        ar = bf.arctan_profile()
+        holed = CurvatureProfile(
+            func=lambda r: np.where(np.asarray(r) > 100.0, -math.inf, ar.func(np.asarray(r))),
+            label="holed",
+        )
+        assert bf.noncompact_side_check(holed, ar, r_max=1e4).verdict == "NotApplicable"
 
     def test_liminf_diagnostic_decays(self):
         # b ~ 4/(pi r^3): the last-dyad minimum falls off like r_max^-3

@@ -12,7 +12,7 @@ from slboundary import kick
 from slboundary.bifurcator import arctan_profile
 from slboundary.errors import InvalidShell
 from slboundary.schema import validate_certificate
-from slboundary.sl_engine import find_second_zero
+from slboundary.sl_engine import CurvatureProfile, find_second_zero
 
 E = math.e
 
@@ -204,3 +204,32 @@ class TestCertify:
             "verdict", "r0", "r1", "diameter_bound", "lambda",
             "spec", "grid_size", "tolerances", "discrepancy_notes",
         ]
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("gap", [(100.0, 200.0), (3.0, 4.0)])
+    def test_non_finite_values_are_inconclusive(self, value, gap):
+        # the kicked profile with a non-finite stretch, past the shell or on it;
+        # the comparison solve alone would still find r1 = 13710.2
+        spec = cf.KickSpec(1.0, E, E**2, 0.95, 0)
+        good = kick.kicked_profile(spec)
+
+        def f(r):
+            x = np.asarray(r, dtype=float)
+            out = np.where((x > gap[0]) & (x < gap[1]), value, good.func(x))
+            return out if out.ndim else float(out)
+
+        holed = CurvatureProfile(func=f, r_min=good.r_min, label="holed",
+                                 breakpoints=good.breakpoints)
+        cert = kick.certify(holed, n=2, spec=spec, r_max=1e6)
+        assert cert.verdict == "Inconclusive"
+        assert cert.r1 is None and cert.diameter_bound is None
+        r_bad = float(cert.reason.split("r = ")[1].split()[0])
+        assert gap[0] < r_bad < gap[1]
+
+    def test_non_finite_profile_never_noncompact_side(self):
+        spec = cf.KickSpec(1.0, E, E**2, 0.95, 0)
+        nan = CurvatureProfile(func=lambda r: np.full(np.shape(r), math.nan),
+                               r_min=1e-12, label="nan")
+        cert = kick.certify(nan, n=2, spec=spec, r_max=1e4,
+                            bifurcator_profile=kick.kicked_profile(spec))
+        assert cert.verdict == "Inconclusive"

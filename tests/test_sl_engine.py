@@ -106,6 +106,26 @@ class TestIntegrate:
             integrate_sl(const_profile(1.0), 0.0, 0.0, 1.0, 2.0, 1e-2)
 
 
+class TestDenseOutput:
+    def test_evaluation_outside_range_raises(self):
+        spec = cf.KickSpec(1.0, E, E**2, 2.0, 0)
+        traj = integrate_sl(kick.kicked_profile(spec), 1.0, 0.0, 1.0, 50.0, 1e-9)
+        for r in (1.0 - 1e-12, 50.0 * (1 + 1e-15), math.nan, math.inf, [2.0, 51.0]):
+            with pytest.raises(DomainMismatch, match="outside the integrated range"):
+                traj.evaluate(r)
+        w, wp = traj.evaluate([1.0, E, E**2, 50.0])
+        assert w[0] == 0.0 and wp[0] == 1.0
+        assert (w[-1], wp[-1]) == (traj.w[-1], traj.wp[-1])
+
+    def test_classify_past_half_range_refused(self):
+        # the dyadic Cauchy tail needs w(r_max / 2), which lies before the start
+        from slboundary.bifurcator import classify
+
+        late = CurvatureProfile(func=lambda r: 0.0 * np.asarray(r), r_min=600.0, label="late")
+        with pytest.raises(DomainMismatch):
+            classify(late, r_max=1e3)
+
+
 class TestFindSecondZero:
     def test_sine_zero(self):
         res = find_second_zero(const_profile(1.0), 0.0, 10.0, 1e-9)
