@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__, bifurcator, kick, planar, surfaces
 from .closed_form import KickSpec
-from .errors import ToolkitError
+from .errors import DomainError, ToolkitError
 from .kick import remark_shell_note, threshold_residual
 from .sl_engine import CurvatureProfile
 
@@ -52,7 +52,7 @@ def _emit(doc: dict, args) -> None:
             "tool": f"slboundary {__version__}",
             "generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         }
-    text = json.dumps(_round12(doc), indent=2)
+    text = json.dumps(_round12(doc), indent=2, allow_nan=False)
     if getattr(args, "output", None):
         with open(args.output, "w") as fh:
             fh.write(text + "\n")
@@ -209,8 +209,14 @@ def cmd_surface(args) -> int:
 
 
 def _parse_t_range(text: str) -> list:
-    start, stop, step = (float(p) for p in text.split(":"))
-    n = int(round((stop - start) / step))
+    try:
+        start, stop, step = (float(p) for p in text.split(":"))
+    except ValueError:
+        raise DomainError(f"--t must be start:stop:step, got {text!r}") from None
+    count = (stop - start) / step if step != 0.0 else math.nan
+    if not (math.isfinite(start) and math.isfinite(step) and math.isfinite(count)):
+        raise DomainError(f"--t needs finite start, stop and a nonzero step, got {text!r}")
+    n = int(round(count))
     return [round(start + i * step, 12) for i in range(n + 1)]
 
 
@@ -264,6 +270,13 @@ def cmd_curve(args) -> int:
     return 0
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="slboundary",
@@ -279,9 +292,9 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--output", default=None, help="also write JSON here")
 
     sp = sub.add_parser("lambda", help="kick threshold for a shell")
-    sp.add_argument("--r0", type=float, required=True)
-    sp.add_argument("--a", type=float, required=True)
-    sp.add_argument("--b", type=float, required=True)
+    sp.add_argument("--r0", type=_finite_float, required=True)
+    sp.add_argument("--a", type=_finite_float, required=True)
+    sp.add_argument("--b", type=_finite_float, required=True)
     sp.add_argument("--k", type=int, default=0)
     common(sp)
     sp.set_defaults(fn=cmd_lambda)
@@ -289,13 +302,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("certify", help="verify kick hypotheses and emit a certificate")
     sp.add_argument("--profile", choices=PROFILE_NAMES, required=True)
     sp.add_argument("--n", type=int, default=2)
-    sp.add_argument("--r0", type=float, default=1.0)
-    sp.add_argument("--a", type=float, required=True)
-    sp.add_argument("--b", type=float, required=True)
-    sp.add_argument("--mu", type=float, default=0.0)
+    sp.add_argument("--r0", type=_finite_float, default=1.0)
+    sp.add_argument("--a", type=_finite_float, required=True)
+    sp.add_argument("--b", type=_finite_float, required=True)
+    sp.add_argument("--mu", type=_finite_float, default=0.0)
     sp.add_argument("--k", type=int, default=0)
-    sp.add_argument("--r-max", dest="r_max", type=float, default=1e6)
-    sp.add_argument("--tol", type=float, default=1e-9)
+    sp.add_argument("--r-max", dest="r_max", type=_finite_float, default=1e6)
+    sp.add_argument("--tol", type=_finite_float, default=1e-9)
     sp.add_argument("--all-origins", action="store_true",
                     help="assert the curvature hypotheses at every origin "
                          "(halves the diameter bound)")
@@ -306,8 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("bifurcate", help="classify a profile as SL-bifurcator or not")
     sp.add_argument("--profile", choices=PROFILE_NAMES, required=True)
-    sp.add_argument("--r-max", dest="r_max", type=float, default=1e4)
-    sp.add_argument("--tol", type=float, default=1e-9)
+    sp.add_argument("--r-max", dest="r_max", type=_finite_float, default=1e4)
+    sp.add_argument("--tol", type=_finite_float, default=1e-9)
     sp.add_argument("--abresch", action="store_true",
                     help="also run the moment/limit-derivative/second-solution checks")
     common(sp)
@@ -316,19 +329,19 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("surface", help="surface-of-revolution curvature profile")
     sp.add_argument("--name", choices=SURFACE_NAMES, required=True)
     sp.add_argument("--emit-profile", default=None, help="CSV path (rho,z,r,K_exact,K_paper,K_r3)")
-    sp.add_argument("--rho-min", dest="rho_min", type=float, default=None)
-    sp.add_argument("--rho-max", dest="rho_max", type=float, default=None)
+    sp.add_argument("--rho-min", dest="rho_min", type=_finite_float, default=None)
+    sp.add_argument("--rho-max", dest="rho_max", type=_finite_float, default=None)
     sp.add_argument("--samples", type=int, default=200)
     common(sp)
     sp.set_defaults(fn=cmd_surface)
 
     sp = sub.add_parser("curve", help="planar curve reconstruction and kick sweep")
     sp.add_argument("--family", choices=("parabola", "parabola-kick"), required=True)
-    sp.add_argument("--k", type=float, default=1.0)
+    sp.add_argument("--k", type=_finite_float, default=1.0)
     sp.add_argument("--t", default="-0.2:0.2:0.05", help="start:stop:step sweep for t")
-    sp.add_argument("--window", type=float, default=100.0)
-    sp.add_argument("--step", type=float, default=0.004)
-    sp.add_argument("--s-max", dest="s_max", type=float, default=None)
+    sp.add_argument("--window", type=_finite_float, default=100.0)
+    sp.add_argument("--step", type=_finite_float, default=0.004)
+    sp.add_argument("--s-max", dest="s_max", type=_finite_float, default=None)
     sp.add_argument("--emit-csv", default=None, help="CSV path (s,x,y,theta,kappa)")
     common(sp)
     sp.set_defaults(fn=cmd_curve)

@@ -19,16 +19,6 @@ import numpy as np
 from .errors import DomainError, WindowTooSmall
 
 
-def _vector_eval(fun, s: np.ndarray) -> np.ndarray:
-    try:
-        out = np.asarray(fun(s), dtype=float)
-        if out.shape == s.shape:
-            return out
-    except Exception:
-        pass
-    return np.array([float(fun(float(v))) for v in s])
-
-
 @dataclass(frozen=True)
 class PlanarCurve:
     """Arclength-parameterised polyline with curvature and turning angle samples."""
@@ -55,7 +45,7 @@ class PlanarCurve:
 
 
 def reconstruct(
-    kappa: Callable[[float], float],
+    kappa: Callable[[np.ndarray], np.ndarray],
     s_range: tuple,
     step: float,
     theta0: float = 0.0,
@@ -65,16 +55,20 @@ def reconstruct(
 
     Default frame: C(s0) = (0, 0), C'(s0) = (1, 0).  Curvature is sampled on
     a half-step grid; theta accumulates by composite Simpson and (x, y) by
-    Simpson on the unit tangent over the same panels.
+    Simpson on the unit tangent over the same panels.  ``kappa`` takes the
+    array of half-step arclengths and returns the curvature at each of them;
+    it is called once.
     """
-    s0, s1 = float(s_range[0]), float(s_range[1])
-    if not (step > 0.0 and s1 > s0):
+    s0, s1, step = float(s_range[0]), float(s_range[1]), float(step)
+    if not (s1 > s0 and 0.0 < step < math.inf and math.isfinite((s1 - s0) / step)):
         raise DomainError(f"bad reconstruction window {s_range} / step {step}")
     n = max(1, int(math.ceil((s1 - s0) / step - 1e-12)))
     h = (s1 - s0) / n
     d = 0.5 * h
     sh = s0 + d * np.arange(2 * n + 1)
-    ks = _vector_eval(kappa, sh)
+    ks = np.asarray(kappa(sh), dtype=float)
+    if ks.shape != sh.shape:
+        raise DomainError(f"curvature returned shape {ks.shape} for {sh.shape} arclengths")
     if not np.all(np.isfinite(ks)):
         raise DomainError("curvature evaluated to a non-finite value")
 
@@ -104,15 +98,16 @@ def parabola_arclength(k: float, x) -> np.ndarray:
 def parabola_x_of_s(k: float, s) -> np.ndarray:
     """Invert the parabola arclength map by guarded Newton iteration.
 
-    The map is convex increasing with slope >= 1, so Newton from x0 = s
-    converges monotonically from above.
+    The map is convex increasing with slope >= 1, and L(x) >= x and
+    L(x) >= k x^2, so Newton from x0 = min(s, sqrt(s / k)) starts above the
+    root and converges monotonically from above.
     """
     if k <= 0.0:
         raise DomainError(f"parabola coefficient must be positive, got {k}")
     s = np.asarray(s, dtype=float)
     if np.any(s < 0.0):
         raise DomainError("arclength from the vertex must be >= 0")
-    x = s.copy().astype(float)
+    x = np.minimum(s, np.sqrt(s / k))
     for _ in range(100):
         g = parabola_arclength(k, x) - s
         slope = np.sqrt(1.0 + 4.0 * k * k * x * x)
@@ -190,10 +185,10 @@ def _segments_cross(p, q) -> Optional[tuple]:
 def self_intersects(curve: PlanarCurve) -> Optional[tuple]:
     """First pair of non-adjacent intersecting segments, as arclength values.
 
-    Candidate pairs come from a uniform spatial hash with cell size equal to
-    the longest segment; candidates are tested with orientation predicates in
-    ascending (i, j) order and the first hit is returned as the interpolated
-    (s_i, s_j) of the crossing.  Adjacent segments are excluded.
+    Candidate pairs come from a sort-based uniform spatial hash with cell size
+    equal to the longest segment; candidates are tested with orientation
+    predicates in ascending (i, j) order and the first hit is returned as the
+    interpolated (s_i, s_j) of the crossing.  Adjacent segments are excluded.
     """
     x, y, s = curve.x, curve.y, curve.s
     nseg = len(x) - 1
@@ -205,27 +200,30 @@ def self_intersects(curve: PlanarCurve) -> Optional[tuple]:
         return None
     inv = 1.0 / cell
 
-    buckets: dict = {}
-    ix_lo = np.floor(np.minimum(x[:-1], x[1:]) * inv).astype(np.int64)
-    ix_hi = np.floor(np.maximum(x[:-1], x[1:]) * inv).astype(np.int64)
-    iy_lo = np.floor(np.minimum(y[:-1], y[1:]) * inv).astype(np.int64)
-    iy_hi = np.floor(np.maximum(y[:-1], y[1:]) * inv).astype(np.int64)
-    for i in range(nseg):
-        for cx in range(ix_lo[i], ix_hi[i] + 1):
-            for cy in range(iy_lo[i], iy_hi[i] + 1):
-                buckets.setdefault((cx, cy), []).append(i)
+    # One (cell x, cell y, segment) row per cell a segment's box touches.  A
+    # box spans about 2 x 2 cells, so the loops run over offsets, not segments.
+    pts = np.column_stack((x, y))
+    lo = np.floor(np.minimum(pts[:-1], pts[1:]) * inv).astype(np.int64)
+    span = np.floor(np.maximum(pts[:-1], pts[1:]) * inv).astype(np.int64) - lo
+    rows = []
+    for ox in range(int(span[:, 0].max()) + 1):
+        for oy in range(int(span[:, 1].max()) + 1):
+            keep = np.flatnonzero((span[:, 0] >= ox) & (span[:, 1] >= oy))
+            rows.append(np.column_stack((lo[keep] + (ox, oy), keep)))
+    rows = np.concatenate(rows)
+    cx, cy, seg = rows[np.lexsort(rows.T[::-1])].T
 
-    candidates = set()
-    for members in buckets.values():
-        for a in range(len(members)):
-            for bidx in range(a + 1, len(members)):
-                i, j = members[a], members[bidx]
-                if j > i + 1:
-                    candidates.add((i, j))
-                elif i > j + 1:
-                    candidates.add((j, i))
+    # The rows of a cell are contiguous and sorted by segment, so its pairs
+    # sit at row distances 1, 2, ...; stop at the first distance with none.
+    keys = [np.empty(0, dtype=np.int64)]
+    for d in range(1, len(seg)):
+        same = (cx[d:] == cx[:-d]) & (cy[d:] == cy[:-d])
+        if not same.any():
+            break
+        i, j = seg[:-d][same], seg[d:][same]
+        keys.append((i * nseg + j)[j > i + 1])
 
-    for i, j in sorted(candidates):
+    for i, j in zip(*np.divmod(np.unique(np.concatenate(keys)), nseg)):
         hit = _segments_cross(
             ((x[i], y[i]), (x[i + 1], y[i + 1])),
             ((x[j], y[j]), (x[j + 1], y[j + 1])),

@@ -1,13 +1,14 @@
 """Command-line surface: JSON shapes, exit codes, determinism, and the shipped
 schema."""
 
+import argparse
 import json
 import math
 
 import pytest
 from numpy.testing import assert_allclose
 
-from slboundary.cli import main
+from slboundary.cli import _emit, main
 from slboundary.schema import validate_certificate
 
 E_STR = "2.718281828459045"
@@ -52,6 +53,15 @@ class TestLambdaCommand:
         code = main(["lambda", "--r0", "5", "--a", "2", "--b", "9"])
         assert code == 2
         assert "error" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_non_finite_option_exits_2(self, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["lambda", "--r0", "1", "--a", "2", f"--b={value}", "--json"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "finite" in captured.err
 
 
 class TestCertifyCommand:
@@ -150,6 +160,26 @@ class TestCurveCommand:
         assert doc["bracket"] == [0.0, 0.05]
 
 
+    @pytest.mark.parametrize("t_arg", ["--t=1:2", "--t=0:0.1:0", "--t=0:0.1:nan"])
+    def test_bad_t_range_exits_2(self, capsys, t_arg):
+        code = main(["curve", "--family", "parabola-kick", "--k", "20", t_arg, "--json"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--t" in captured.err
+
+    def test_non_finite_s_max_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["curve", "--family", "parabola", "--k", "20", "--s-max", "inf"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
+    def test_overflowing_panel_count_exits_2(self, capsys):
+        code = main(["curve", "--family", "parabola", "--k", "20", "--s-max", "1e308",
+                     "--step", "1e-300", "--json"])
+        assert code == 2
+        assert "reconstruction window" in capsys.readouterr().err
+
+
 def pl_x_of_s(k, s):
     from slboundary.planar import parabola_x_of_s
 
@@ -174,6 +204,12 @@ class TestDeterminism:
         second = capsys.readouterr().out
         assert first == second
         assert len(first) > 0
+
+    def test_emit_refuses_nan(self, capsys):
+        args = argparse.Namespace(no_meta=True, output=None)
+        with pytest.raises(ValueError):
+            _emit({"residual": float("nan")}, args)
+        assert capsys.readouterr().out == ""
 
     def test_meta_block_present_without_flag(self, capsys):
         _, doc = run_json(capsys, ["lambda", "--r0", "1", "--a", "2", "--b", "4", "--json"])

@@ -2,14 +2,78 @@
 detection, and the kick transition sweep."""
 
 import math
+from typing import Optional
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
 from slboundary import planar as pl
-from slboundary.errors import WindowTooSmall
+from slboundary.errors import DomainError, WindowTooSmall
+
+
+def self_intersects_reference(curve: pl.PlanarCurve) -> Optional[tuple]:
+    """The dict-of-cell-lists spatial hash that planar.self_intersects replaced,
+    kept as the reference its result must equal exactly."""
+    x, y, s = curve.x, curve.y, curve.s
+    nseg = len(x) - 1
+    if nseg < 2:
+        return None
+    lens = np.hypot(np.diff(x), np.diff(y))
+    cell = float(np.max(lens))
+    if cell == 0.0:
+        return None
+    inv = 1.0 / cell
+
+    buckets: dict = {}
+    ix_lo = np.floor(np.minimum(x[:-1], x[1:]) * inv).astype(np.int64)
+    ix_hi = np.floor(np.maximum(x[:-1], x[1:]) * inv).astype(np.int64)
+    iy_lo = np.floor(np.minimum(y[:-1], y[1:]) * inv).astype(np.int64)
+    iy_hi = np.floor(np.maximum(y[:-1], y[1:]) * inv).astype(np.int64)
+    for i in range(nseg):
+        for cx in range(ix_lo[i], ix_hi[i] + 1):
+            for cy in range(iy_lo[i], iy_hi[i] + 1):
+                buckets.setdefault((cx, cy), []).append(i)
+
+    candidates = set()
+    for members in buckets.values():
+        for a in range(len(members)):
+            for bidx in range(a + 1, len(members)):
+                i, j = members[a], members[bidx]
+                if j > i + 1:
+                    candidates.add((i, j))
+                elif i > j + 1:
+                    candidates.add((j, i))
+
+    for i, j in sorted(candidates):
+        hit = pl._segments_cross(
+            ((x[i], y[i]), (x[i + 1], y[i + 1])),
+            ((x[j], y[j]), (x[j + 1], y[j + 1])),
+        )
+        if hit is not None:
+            t, u = hit
+            si = float(s[i] + t * (s[i + 1] - s[i]))
+            sj = float(s[j] + u * (s[j + 1] - s[j]))
+            return (si, sj)
+    return None
+
+
+def polyline(points) -> pl.PlanarCurve:
+    pts = np.asarray(points, dtype=float)
+    x, y = pts[:, 0], pts[:, 1]
+    s = np.concatenate([[0.0], np.cumsum(np.hypot(np.diff(x), np.diff(y)))])
+    zero = np.zeros_like(s)
+    return pl.PlanarCurve(s=s, x=x, y=y, theta=zero, kappa=zero)
+
+
+# Integer grids give touching, collinear, repeated and zero-length segments.
+GRID_POINTS = st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
+                       min_size=2, max_size=40)
+FREE_POINTS = st.lists(st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)),
+                       min_size=2, max_size=40)
 
 
 class TestReconstruct:
@@ -46,6 +110,22 @@ class TestReconstruct:
             assert np.max(np.abs(rot.y - (sa * base.x + ca * base.y))) <= 1e-10
 
 
+    @pytest.mark.parametrize("window", [(0.0, math.inf), (-math.inf, 1.0), (0.0, math.nan)])
+    def test_non_finite_window_is_refused(self, window):
+        with pytest.raises(DomainError):
+            pl.reconstruct(lambda s: 0.0 * s, window, 0.01)
+
+    @pytest.mark.parametrize("step", [math.inf, math.nan, 1e-320])
+    def test_non_finite_step_is_refused(self, step):
+        # 1e-320 is finite, but the panel count overflows
+        with pytest.raises(DomainError):
+            pl.reconstruct(lambda s: 0.0 * s, (0.0, 1e10), step)
+
+    def test_scalar_curvature_is_refused(self):
+        with pytest.raises(DomainError, match="shape"):
+            pl.reconstruct(lambda s: 1.0, (0.0, 1.0), 0.1)
+
+
 class TestParabolaCurvature:
     def test_vertex_value(self):
         assert pl.parabola_curvature(1.0, 0.0) == 2.0
@@ -65,12 +145,21 @@ class TestParabolaCurvature:
         assert_allclose(integral, math.atan(2e3), rtol=1e-9)
 
     def test_arclength_inverse_roundtrip(self):
-        xs = np.array([0.0, 0.3, 2.0, 55.0, 900.0])
-        s = pl.parabola_arclength(3.0, xs)
-        assert_allclose(pl.parabola_x_of_s(3.0, s), xs, rtol=1e-12, atol=1e-12)
+        for k in (3.0, 0.1, 20.0, 100.0):
+            # L(x) ~ k x^2, so x = sqrt(1e6 / k) reaches arclength ~1e6
+            xs = np.concatenate([[0.0, 0.3, 2.0, 55.0, 900.0],
+                                 np.geomspace(1e-3, math.sqrt(1e6 / k), 9)])
+            s = pl.parabola_arclength(k, xs)
+            assert_allclose(pl.parabola_x_of_s(k, s), xs, rtol=1e-12, atol=1e-12)
 
 
 class TestSelfIntersects:
+    @settings(max_examples=1500, deadline=None, derandomize=True, database=None)
+    @given(st.one_of(GRID_POINTS, FREE_POINTS))
+    def test_matches_reference_hash(self, points):
+        c = polyline(points)
+        assert pl.self_intersects(c) == self_intersects_reference(c)
+
     def test_segment_has_none(self):
         c = pl.reconstruct(lambda s: 0.0 * np.asarray(s), (0.0, 3.0), 0.01)
         assert pl.self_intersects(c) is None
