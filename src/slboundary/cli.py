@@ -26,6 +26,8 @@ from .sl_engine import CurvatureProfile
 SURFACE_NAMES = ("capped-cylinder", "paraboloid")
 PROFILE_NAMES = ("f0-kick", "fk-kick", "bf-equality", "arctan-bifurcator",
                  "capped-cylinder", "paraboloid")
+#: Most t values one --t sweep may ask for; each one reconstructs a curve.
+MAX_T_POINTS = 1000
 
 
 def _round12(obj):
@@ -216,7 +218,12 @@ def _parse_t_range(text: str) -> list:
     count = (stop - start) / step if step != 0.0 else math.nan
     if not (math.isfinite(start) and math.isfinite(step) and math.isfinite(count)):
         raise DomainError(f"--t needs finite start, stop and a nonzero step, got {text!r}")
-    n = int(round(count))
+    if count < 0.0:
+        raise DomainError(f"--t step points away from stop, got {text!r}")
+    n = round(count)
+    if n + 1 > MAX_T_POINTS:
+        raise DomainError(f"--t asks for {count + 1:.6g} points; at most "
+                          f"MAX_T_POINTS = {MAX_T_POINTS} are allowed, got {text!r}")
     return [round(start + i * step, 12) for i in range(n + 1)]
 
 

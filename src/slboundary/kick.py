@@ -31,12 +31,10 @@ from .closed_form import (
 from .errors import InvalidShell, NoSecondZero
 from .sl_engine import CurvatureProfile, coefficient_func, find_second_zero
 
-#: Threshold value quoted in the source remark for the shell a = e, b = e^2.
-#: The defining equation for r0 = 1 reduces to cot(lam) = lam, whose smallest
-#: positive root is 0.86033...; the quoted 0.46 does not satisfy it and is
-#: carried in certificates as a discrepancy note, never as the computed value.
-QUOTED_REMARK_LAMBDA = 0.46
-
+#: The source remark quotes 0.46 for the shell a = e, b = e^2.  The defining
+#: equation for r0 = 1 reduces to cot(lam) = lam, whose smallest positive root
+#: is 0.86033...; the quoted 0.46 does not satisfy it and is carried in
+#: certificates as a discrepancy note, never as the computed value.
 _REMARK_NOTE = (
     "published remark quotes lambda ~= 0.46 for the shell (r0, a, b) = (1, e, e^2); "
     "the defining equation cot(lambda) = lambda has smallest positive root "

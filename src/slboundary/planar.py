@@ -283,13 +283,21 @@ def kick_family_transition(
     pair around the empirical transition.
     """
     ts = [float(t) for t in t_range]
+    if not ts:
+        raise DomainError("t_range is empty")
     if sorted(ts) != ts:
         raise DomainError("t_range must be increasing")
 
+    # Every t is reconstructed on the same window and step, hence the same
+    # half-step grid: the parabola curvature (a Newton inversion over the
+    # grid) and the bump are computed on the first call and reused.
+    fixed = []
+
     def kappa_t(t):
         def f(s):
-            s = np.asarray(s, dtype=float)
-            return parabola_curvature(k, np.abs(s)) + t * np.asarray(bump(s), dtype=float)
+            if not fixed:
+                fixed.extend((parabola_curvature(k, np.abs(s)), np.asarray(bump(s), dtype=float)))
+            return fixed[0] + t * fixed[1]
 
         return f
 

@@ -526,7 +526,6 @@ class PiconeReport:
     residual: float
     r_at_max: float
     window: tuple[float, float]
-    y_second_zero: Optional[float]
 
 
 def picone_residual(
@@ -586,5 +585,4 @@ def picone_residual(
         residual=worst[0],
         r_at_max=worst[1],
         window=(float(start), float(r_max)),
-        y_second_zero=None,
     )

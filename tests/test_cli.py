@@ -8,7 +8,8 @@ import math
 import pytest
 from numpy.testing import assert_allclose
 
-from slboundary.cli import _emit, main
+from slboundary import cli, planar
+from slboundary.cli import MAX_T_POINTS, _emit, _parse_t_range, main
 from slboundary.schema import validate_certificate
 
 E_STR = "2.718281828459045"
@@ -166,6 +167,24 @@ class TestCurveCommand:
         assert code == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "--t" in captured.err
+
+    @pytest.mark.parametrize("t_arg", [
+        "--t=1:0:0.1", "--t=0:1:-0.1", "--t=0:1:1e-300", f"--t=0:{MAX_T_POINTS}:1"])
+    def test_backward_or_oversized_t_range_exits_2(self, capsys, monkeypatch, t_arg):
+        # refused before any t value is listed or any curve is built
+        built = []
+        monkeypatch.setattr(cli, "range", lambda *a: built.append(a) or [], raising=False)
+        monkeypatch.setattr(planar, "kick_family_transition", lambda *a, **kw: built.append(a))
+        code = main(["curve", "--family", "parabola-kick", "--k", "20", t_arg, "--json"])
+        assert code == 2 and built == []
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--t" in captured.err
+        if "away" not in captured.err:
+            assert f"MAX_T_POINTS = {MAX_T_POINTS}" in captured.err
+
+    def test_t_range_at_the_point_limit(self):
+        assert len(_parse_t_range(f"0:{MAX_T_POINTS - 1}:1")) == MAX_T_POINTS
+        assert _parse_t_range("0.1:0.1:-1") == [0.1]
 
     def test_non_finite_s_max_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -213,6 +213,21 @@ class TestKickFamilyTransition:
         with pytest.raises(WindowTooSmall):
             pl.kick_family_transition(1.0, [0.05], window=100.0, step=0.01)
 
+    def test_empty_t_range_refused(self):
+        with pytest.raises(DomainError):
+            pl.kick_family_transition(20.0, [], window=40.0, step=0.005)
+
+    def test_parabola_inverted_once_per_sweep(self, monkeypatch):
+        calls = []
+        inner = pl.parabola_x_of_s
+        monkeypatch.setattr(pl, "parabola_x_of_s", lambda k, s: calls.append(1) or inner(k, s))
+        ts = [-0.05, 0.0, 0.1]
+        rep = pl.kick_family_transition(20.0, ts, window=40.0, step=0.005)
+        assert len(calls) == 1
+        for t, entry in zip(ts, rep.entries):
+            alone = pl.kick_family_transition(20.0, [t], window=40.0, step=0.005)
+            assert alone.entries[0] == entry
+
     def test_entries_serialise(self):
         rep = pl.kick_family_transition(20.0, [-0.05, 0.0, 0.1], window=40.0, step=0.005)
         docs = rep.as_json_entries()

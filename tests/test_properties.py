@@ -2,13 +2,15 @@
 
 Built-in profiles evaluate one float with a scalar kernel (the ODE
 right-hand side) and arrays with a vector kernel; the two must agree and
-must refuse the same inputs.  The stacked DOP853 evaluator reads private
-attributes of scipy's dense output, so it is checked bit for bit against
-OdeSolution.__call__: a scipy release that changes those attributes fails
-here, not in a certificate.
+must refuse the same inputs.  The arctan scalar kernel must give exactly
+what the 0-d numpy path it replaced gave.  The stacked DOP853 evaluator
+reads private attributes of scipy's dense output, so it is checked bit for
+bit against OdeSolution.__call__: a scipy release that changes those
+attributes fails here, not in a certificate.
 """
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -37,6 +39,20 @@ def raised(fn, arg):
     except Exception as exc:  # the comparison is the point
         return type(exc), str(exc)
     return None
+
+
+def arctan_reference(r):
+    """The 0-d numpy body arctan_profile had before its float kernel (its
+    overflow warnings silenced)."""
+    r = np.asarray(r, dtype=float)
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        out = 2.0 * r / ((1.0 + r * r) ** 2 * np.arctan(r))
+    out = np.where(r == 0.0, 2.0, out)
+    return out if out.ndim else float(out)
+
+
+def bits(x):
+    return struct.pack("<d", x)
 
 
 @st.composite
@@ -119,6 +135,39 @@ class TestSurfaceKernels:
         assert raised(prof.func, float(r)) == want
         if not 0.0 <= r <= 1e4:
             assert want is not None and want[0] is DomainError
+
+
+class TestArctanKernel:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(st.integers(0, 2**32 - 1), st.one_of(
+        st.floats(-1e300, 1e300), st.floats(1e77, 1e155), st.floats(-1e155, -1e77)))
+    def test_scalar_equals_old_0d_path(self, seed, r):
+        """Bit for bit, on the drawn radius, the edge cases and 1000 seeded radii.
+
+        Between 1e77 and 1e155 Python's float ** overflows where r*r does
+        not.  A kernel that rounds one operation differently (q*q for the
+        square, math.atan) differs on ~0.1 % of radii, too rarely for one
+        radius per example, hence the seeded batch.
+        """
+        rng = np.random.default_rng(seed)
+        mags = np.concatenate([rng.uniform(0.0, 10.0, 500), np.exp(rng.uniform(-690, 690, 500))])
+        batch = (mags * rng.choice([-1.0, 1.0], mags.size)).tolist()
+        edges = [0.0, -0.0, 5e-324, -5e-324, math.inf, -math.inf, math.nan]
+        func = arctan_profile().func
+        for x in [r, *edges, *batch]:
+            scalar = func(x)
+            assert isinstance(scalar, float)
+            assert bits(scalar) == bits(arctan_reference(x)), x
+
+    @PROPS
+    @given(st.floats(-1e300, 1e300))
+    def test_scalar_matches_vector(self, r):
+        # Only (1 + r^2)^2 differs: pow for one float, numpy's square for an
+        # array, at most 1 ulp apart; the quotient then moves by <= 3 ulp.
+        prof = arctan_profile()
+        scalar = prof.func(r)
+        vector = prof.func(np.array([r]))[0]
+        assert ulps(scalar, vector) <= 3.0
 
 
 @pytest.fixture(scope="module")
