@@ -17,7 +17,8 @@ import numpy as np
 from scipy.integrate import quad
 
 from .errors import ExceedanceViolated
-from .sl_engine import CurvatureProfile, coefficient_func, integrate_sl
+from .sl_engine import (CurvatureProfile, coefficient_func, dominates, integrate_sl,
+                        origin_start)
 
 CLASS_BIFURCATOR = "Bifurcator"
 CLASS_SECOND_ZERO = "NotBifurcator(SecondZero)"
@@ -38,7 +39,9 @@ def arctan_profile() -> CurvatureProfile:
     """
 
     def vector(r):
-        with np.errstate(invalid="ignore", divide="ignore"):
+        # Past |r| ~ 1e77 the square overflows to inf and the value to 0, as
+        # the scalar kernel's OverflowError -> inf gives.
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
             out = 2.0 * r / ((1.0 + r * r) ** 2 * np.arctan(r))
         return np.where(r == 0.0, 2.0, out)
 
@@ -79,7 +82,6 @@ def classify(
     b: CurvatureProfile,
     r_max: float = 1e4,
     tol: float = 1e-9,
-    eps: float = 1e-6,
     unbounded_cap: float = 1e6,
     tail_tol_rel: float = 1e-4,
 ) -> BifurcatorReport:
@@ -89,21 +91,9 @@ def classify(
     bounded property outright; growth past unbounded_cap with the slope not
     collapsing reports Unbounded.  Monotone solutions whose dyadic Cauchy
     tail w(R) - w(R/2) falls below tail_tol_rel * w(R) are called Bifurcator;
-    anything else is Inconclusive.  Profiles singular at the origin are
-    started at eps with w(eps) = eps, w'(eps) = 1 (O(eps^2 b) initial error).
+    anything else is Inconclusive.  The solve starts at origin_start(b).
     """
-    start = b.r_min
-    if start == 0.0:
-        try:
-            v0 = b(0.0)
-            if not math.isfinite(v0):
-                start = eps
-        except Exception:
-            start = eps
-    elif start > 0.0:
-        start = max(start, eps)
-    w0 = 0.0 if start == 0.0 else start
-    traj = integrate_sl(b, start, w0, 1.0, r_max, tol)
+    traj = integrate_sl(b, *origin_start(b), r_max, tol)
 
     w_end = float(traj.w[-1])
     wp_end = float(traj.wp[-1])
@@ -136,21 +126,12 @@ def classify(
             f"w exceeded {unbounded_cap:g} with slope {wp_end:.3g} at r_max",
         )
     if cauchy <= tail_tol:
-        return BifurcatorReport(
-            classification=CLASS_BIFURCATOR,
-            w_limit=w_limit,
-            wp_at_rmax=wp_end,
-            cauchy_tail=cauchy,
-            tail_tol=tail_tol,
-            detail="monotone; dyadic Cauchy tail below tolerance",
-            r_max=r_max,
-            tol=tol,
-        )
+        return report(CLASS_BIFURCATOR, "monotone; dyadic Cauchy tail below tolerance",
+                      limit=w_limit)
     return report(
         CLASS_INCONCLUSIVE,
         f"monotone but Cauchy tail {cauchy:.3g} exceeds {tail_tol:.3g}; "
         "the solution may be slowly unbounded or r_max too small",
-        limit=None,
     )
 
 
@@ -188,9 +169,8 @@ def abresch_checks(b: CurvatureProfile, r_max: float = 1e4, tol: float = 1e-9) -
         moment += v
     tail_ratio = vals[-1] / vals[-2] if vals[-2] != 0.0 else math.inf
 
-    start = b.r_min if b.r_min > 0 else (0.0 if math.isfinite(b(0.0)) else 1e-6)
-    w0 = 0.0 if start == 0.0 else start
-    traj = integrate_sl(b, start, w0, 1.0, r_max, tol)
+    start, w0, w0p = origin_start(b)
+    traj = integrate_sl(b, start, w0, w0p, r_max, tol)
     wp_end = float(traj.wp[-1])
 
     decade = np.geomspace(r_max / 10.0, r_max, 40)
@@ -239,27 +219,19 @@ def boundary_test(
 ) -> BoundaryVerdict:
     """Compact-side test: does the solution for c (>= b) vanish again by r_max?
 
-    Raises ExceedanceViolated if c dips below b anywhere on the check grid.
-    NoEvidence does not refute compactness: the second zero is guaranteed to
-    exist for a true exceedance but its location may be beyond r_max.
+    Raises ExceedanceViolated if c does not dominate b on the check grid.
+    The solve starts at origin_start(c, max(b.r_min, c.r_min)).  NoEvidence
+    does not refute compactness: the second zero is guaranteed to exist for
+    a true exceedance but its location may be beyond r_max.
     """
     lo = max(b.r_min, c.r_min, 1e-9)
-    rs = np.geomspace(lo, r_max, grid_size)
-    bv, cv = b.values(rs), c.values(rs)
-    # Written so that NaN and non-finite values of c fail the check.
-    ok = np.isfinite(cv) & (cv >= bv * (1.0 - 1e-12) - 1e-300)
-    if not np.all(ok):
-        r_bad = rs[int(np.argmin(ok))]
+    r_bad = dominates(c, b, np.geomspace(lo, r_max, grid_size))
+    if r_bad is not None:
         raise ExceedanceViolated(
             f"comparison profile is not finite or falls below the bifurcator "
             f"at r = {r_bad:.9g}"
         )
-
-    start = max(b.r_min, c.r_min)
-    if start == 0.0 and not math.isfinite(c(0.0)):
-        start = 1e-6
-    w0 = 0.0 if start == 0.0 else start
-    traj = integrate_sl(c, start, w0, 1.0, r_max, tol)
+    traj = integrate_sl(c, *origin_start(c, max(b.r_min, c.r_min)), r_max, tol)
     if len(traj.zeros):
         r1 = float(traj.zeros[0])
         return BoundaryVerdict(
@@ -287,17 +259,15 @@ def noncompact_side_check(
     r_max: float = 1e4,
     grid_size: int = 4000,
 ) -> BoundaryVerdict:
-    """Noncompact-side test: is the supremal Ricci profile <= b on the grid?
+    """Noncompact-side test: does b dominate the supremal Ricci profile on the grid?
 
     Also reports the liminf diagnostic min b over the last dyad [r_max/2, r_max].
     """
     lo = max(profile_sup.r_min, b.r_min, 1e-9)
     rs = np.geomspace(lo, r_max, grid_size)
-    sup, bv = profile_sup.values(rs), b.values(rs)
-    dyad = rs >= r_max / 2.0
-    liminf_diag = float(np.min(bv[dyad]))
-    ok = np.isfinite(sup) & (sup <= bv * (1.0 + 1e-12))
-    if np.all(ok):
+    liminf_diag = float(np.min(b.values(rs[rs >= r_max / 2.0])))
+    r_bad = dominates(b, profile_sup, rs)
+    if r_bad is None:
         return BoundaryVerdict(
             verdict="NoncompactSide",
             second_zero=None,
@@ -305,7 +275,6 @@ def noncompact_side_check(
                    f"min b over the last dyad = {liminf_diag:.6g}",
             r_max=r_max,
         )
-    r_bad = rs[int(np.argmin(ok))]
     return BoundaryVerdict(
         verdict="NotApplicable",
         second_zero=None,

@@ -142,27 +142,21 @@ def cmd_bifurcate(args) -> int:
     checks = None
     if args.abresch:
         checks = bifurcator.abresch_checks(profile, r_max=args.r_max, tol=args.tol)
-    doc = {
-        "verdict": rep.classification,
-        "r0": None,
-        "r1": None,
-        "diameter_bound": None,
-        "lambda": None,
-        "spec": {"profile": profile.label, "r_max": rep.r_max},
-        "grid_size": 0,
-        "tolerances": {"tol": rep.tol, "tail_tol": rep.tail_tol},
-        "discrepancy_notes": [],
-        "reason": rep.detail,
-    }
+    spec = {"profile": profile.label, "r_max": rep.r_max}
     if rep.w_limit is not None:
-        doc["spec"]["w_limit"] = rep.w_limit
-    doc["spec"]["wp_at_rmax"] = rep.wp_at_rmax
-    doc["spec"]["cauchy_tail"] = rep.cauchy_tail
+        spec["w_limit"] = rep.w_limit
+    spec["wp_at_rmax"] = rep.wp_at_rmax
+    spec["cauchy_tail"] = rep.cauchy_tail
     if checks is not None:
-        doc["spec"]["moment_integral"] = checks.moment_integral
-        doc["spec"]["moment_tail_ratio"] = checks.moment_tail_ratio
-        doc["spec"]["independent_solution_value"] = checks.independent_solution_value
-        doc["spec"]["independent_diverges"] = checks.independent_diverges
+        spec["moment_integral"] = checks.moment_integral
+        spec["moment_tail_ratio"] = checks.moment_tail_ratio
+        spec["independent_solution_value"] = checks.independent_solution_value
+        spec["independent_diverges"] = checks.independent_diverges
+    doc = kick.Certificate(
+        verdict=rep.classification, r0=None, r1=None, diameter_bound=None, threshold=None,
+        spec=spec, grid_size=0, tolerances={"tol": rep.tol, "tail_tol": rep.tail_tol},
+        reason=rep.detail,
+    ).to_json_dict()
     if args.json:
         _emit(doc, args)
     else:

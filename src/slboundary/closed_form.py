@@ -103,15 +103,19 @@ def critical_decay(r, mu: float = 0.0, k: int = 0):
     total = np.zeros_like(x)
     prod = x.copy()
     cur = x.copy()
-    for j in range(k):
-        total += 1.0 / prod**2
-        cur = np.log(cur)
-        if np.any(cur <= 0.0):
-            raise DomainError(
-                f"critical_decay depth {k} requires r > {superpower(k)}"
-            )
-        prod = prod * cur
-    total += (1.0 + 4.0 * mu * mu) / prod**2
+    # Where prod**2 underflows to 0 the quotient is inf, and where it
+    # overflows the quotient is 0, as the float kernel gives (_over_square);
+    # those are the values, not faults.
+    with np.errstate(divide="ignore", over="ignore"):
+        for j in range(k):
+            total += 1.0 / prod**2
+            cur = np.log(cur)
+            if np.any(cur <= 0.0):
+                raise DomainError(
+                    f"critical_decay depth {k} requires r > {superpower(k)}"
+                )
+            prod = prod * cur
+        total += (1.0 + 4.0 * mu * mu) / prod**2
     out = 0.25 * total
     return out if out.ndim else float(out)
 

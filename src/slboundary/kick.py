@@ -19,6 +19,7 @@ from typing import Optional
 import numpy as np
 
 from . import closed_form
+from .bifurcator import noncompact_side_check
 from .closed_form import (
     KickSpec,
     critical_decay,
@@ -29,7 +30,7 @@ from .closed_form import (
     superpower,
 )
 from .errors import InvalidShell, NoSecondZero
-from .sl_engine import CurvatureProfile, coefficient_func, find_second_zero
+from .sl_engine import CurvatureProfile, coefficient_func, dominates, find_second_zero
 
 #: The source remark quotes 0.46 for the shell a = e, b = e^2.  The defining
 #: equation for r0 = 1 reduces to cot(lam) = lam, whose smallest positive root
@@ -106,10 +107,10 @@ def kicked_profile(spec: KickSpec) -> CurvatureProfile:
     k, a, b, mu2 = spec.k, spec.a, spec.b, spec.mu**2
 
     def vector(r):
+        out = critical_decay(r, 0.0, k)
         chi = (r >= a) & (r <= b)
-        base = critical_decay(r, 0.0, k)
-        bump = mu2 / closed_form.log_product(k, r) ** 2
-        return base + np.where(chi, bump, 0.0)
+        out[chi] += mu2 / closed_form.log_product(k, r[chi]) ** 2
+        return out
 
     def scalar(r):
         base = critical_decay_float(r, 0.0, k)
@@ -240,36 +241,28 @@ def certify(
         "r0": spec.r0, "a": spec.a, "b": spec.b, "mu": spec.mu, "k": spec.k,
         "n": n, "r_max": r_max, "profile": profile.label, "all_origins": all_origins,
     }
-    tolerances = {"tol": tol, "hypothesis_margin": margin}
 
-    def inconclusive(reason: str) -> Certificate:
-        if bifurcator_profile is not None:
-            rs = np.geomspace(max(profile.r_min, bifurcator_profile.r_min, 1e-6),
-                              r_max, grid_size)
-            sup = profile.values(rs)
-            if np.all(np.isfinite(sup) & (sup <= bifurcator_profile.values(rs) * (1 + 1e-12))):
-                return Certificate(
-                    verdict="NoncompactSide", r0=None, r1=None, diameter_bound=None,
-                    threshold=lam, spec=spec_echo, grid_size=grid_size,
-                    tolerances=tolerances, discrepancy_notes=tuple(notes),
-                    reason="profile bounded above by the supplied SL-bifurcator "
-                           "on the whole grid",
-                )
+    def certificate(verdict: str, reason: Optional[str] = None,
+                    r1: Optional[float] = None) -> Certificate:
         return Certificate(
-            verdict="Inconclusive", r0=None, r1=None, diameter_bound=None,
+            verdict=verdict, r0=None if r1 is None else spec.r0, r1=r1,
+            diameter_bound=None if r1 is None else (r1 if all_origins else 2.0 * r1),
             threshold=lam, spec=spec_echo, grid_size=grid_size,
-            tolerances=tolerances, discrepancy_notes=tuple(notes), reason=reason,
+            tolerances={"tol": tol, "hypothesis_margin": margin},
+            discrepancy_notes=tuple(notes), reason=reason,
         )
 
-    # Each check is written to pass only on finite values: NaN compares
-    # False, and an infinite value would pass any inequality it sits on.
+    def inconclusive(reason: str) -> Certificate:
+        if bifurcator_profile is not None and noncompact_side_check(
+                profile, bifurcator_profile, r_max, grid_size).verdict == "NoncompactSide":
+            return certificate("NoncompactSide", "profile bounded above by the "
+                               "supplied SL-bifurcator on the whole grid")
+        return certificate("Inconclusive", reason)
+
     # Base hypothesis: profile >= critical decay everywhere past r0.
-    rs = np.geomspace(spec.r0, r_max, grid_size)
-    base = critical_decay(rs, 0.0, spec.k)
-    vals = profile.values(rs)
-    ok = np.isfinite(vals) & (vals - base >= -1e-12 * (np.abs(base) + np.abs(vals)))
-    if not np.all(ok):
-        r_bad = rs[np.argmin(ok)]
+    r_bad = dominates(profile, equality_profile(spec.k),
+                      np.geomspace(spec.r0, r_max, grid_size))
+    if r_bad is not None:
         return inconclusive(f"base decay hypothesis fails at r = {r_bad:.9g}")
 
     # Shell hypothesis: implied kick amplitude above threshold with margin.
@@ -299,11 +292,4 @@ def certify(
             f"kick amplitude {mu_eff:.9g} exceeds lambda = {lam:.9g} but the "
             f"second zero lies beyond r_max = {r_max:g}; enlarge the domain"
         )
-    r1 = search.r1
-    bound = r1 if all_origins else 2.0 * r1
-    return Certificate(
-        verdict="Compact", r0=spec.r0, r1=r1, diameter_bound=bound,
-        threshold=lam, spec=spec_echo, grid_size=grid_size,
-        tolerances=tolerances, discrepancy_notes=tuple(notes),
-        reason=None,
-    )
+    return certificate("Compact", r1=search.r1)

@@ -20,9 +20,14 @@ import numpy as np
 from scipy.integrate import quad, solve_ivp
 from scipy.optimize import brentq
 
-from .errors import DomainMismatch, NonFiniteCoefficient, StepUnderflow, YVanished
+from .errors import (DomainError, DomainMismatch, NonFiniteCoefficient, StepUnderflow,
+                     ToolkitError, YVanished)
 
 _TINY_SIGN = 1e-300
+#: Start radius of a solve whose profile cannot be evaluated at the origin.
+ORIGIN_EPS = 1e-6
+#: Relative slack of dominates(), taken on the smaller of the two magnitudes.
+DOMINANCE_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -44,15 +49,14 @@ class CurvatureProfile:
         return float(self.func(r))
 
     def values(self, rs) -> np.ndarray:
-        """Vectorised evaluation with a scalar fallback."""
+        """func on the float array rs; DomainError if it returns another shape."""
         rs = np.asarray(rs, dtype=float)
-        try:
-            out = np.asarray(self.func(rs), dtype=float)
-            if out.shape == rs.shape:
-                return out
-        except Exception:
-            pass
-        return np.array([float(self.func(float(r))) for r in np.atleast_1d(rs)])
+        out = np.asarray(self.func(rs), dtype=float)
+        if out.shape != rs.shape:
+            raise DomainError(
+                f"profile {self.label!r} returned shape {out.shape} for {rs.shape} radii"
+            )
+        return out
 
 
 def coefficient_func(scalar, vector):
@@ -73,6 +77,41 @@ def coefficient_func(scalar, vector):
         return vector(x) if x.ndim else scalar(float(x))
 
     return func
+
+
+def dominates(upper: CurvatureProfile, lower: CurvatureProfile, rs) -> Optional[float]:
+    """First radius of rs where upper does not lie above lower, or None.
+
+    A radius passes only when both values are finite and
+    upper - lower >= -DOMINANCE_RTOL * min(|upper|, |lower|): NaN and inf
+    fail, and the slack keeps its direction for negative values.
+    """
+    rs = np.asarray(rs, dtype=float)
+    u, lo = upper.values(rs), lower.values(rs)
+    with np.errstate(invalid="ignore"):  # inf - inf; those radii fail anyway
+        ok = (np.isfinite(u) & np.isfinite(lo)
+              & (u - lo >= -DOMINANCE_RTOL * np.minimum(np.abs(u), np.abs(lo))))
+    return None if ok.all() else float(rs[np.argmin(ok)])
+
+
+def origin_start(
+    profile: CurvatureProfile, r_min: Optional[float] = None
+) -> tuple[float, float, float]:
+    """(start, w0, w0') for the solution with w(0) = 0, w'(0) = 1.
+
+    r_min defaults to profile.r_min.  The start is 0 when r_min <= 0 and
+    b(0) is finite; otherwise max(r_min, ORIGIN_EPS) with w = start, w' = 1,
+    an O(start^2 b) error in the initial data.
+    """
+    r_min = profile.r_min if r_min is None else r_min
+    if r_min <= 0.0:
+        try:
+            if math.isfinite(profile(0.0)):
+                return 0.0, 0.0, 1.0
+        except (ArithmeticError, ValueError, ToolkitError):
+            pass  # a profile singular at the origin may raise there
+    start = max(r_min, ORIGIN_EPS)
+    return start, start, 1.0
 
 
 class _StackedDop853:
@@ -537,16 +576,18 @@ def picone_residual(
 ) -> PiconeReport:
     """Check the comparison identity between the solutions of b and c (c >= b).
 
-    Both solutions start with value 0, slope 1 at the common left endpoint.
+    Both solutions start from the same origin_start data, at the later of
+    the two profiles' starts.
     I(r) accumulates int (c - b) w^2 plus int ((w' y - w y')/y)^2 by composite
     Simpson, with panel edges pinned to the profiles' breakpoints so jumps in
     c - b never sit inside a panel; the reported residual is the max over
     nodes of |y'/y - w'/w + I/w^2|.  Raises YVanished if y hits zero inside
     the window, which is the comparison theorem's conclusion, not a defect.
     """
-    r_lo = max(b.r_min, c.r_min)
-    wtraj = integrate_sl(b, r_lo, 0.0, 1.0, r_max, tol)
-    ytraj = integrate_sl(c, r_lo, 0.0, 1.0, r_max, tol)
+    r_min = max(b.r_min, c.r_min)
+    r_lo, w0, w0p = max(origin_start(b, r_min), origin_start(c, r_min))
+    wtraj = integrate_sl(b, r_lo, w0, w0p, r_max, tol)
+    ytraj = integrate_sl(c, r_lo, w0, w0p, r_max, tol)
     if len(ytraj.zeros):
         raise YVanished(
             f"comparison solution vanished at r = {ytraj.zeros[0]:.6g}; "

@@ -5,12 +5,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
 from slboundary import bifurcator as bf
+from slboundary import sl_engine
 from slboundary.errors import ExceedanceViolated
-from slboundary.sl_engine import CurvatureProfile, integrate_sl
+from slboundary.sl_engine import CurvatureProfile, dominates, integrate_sl
 
 
 def const_profile(c):
@@ -72,7 +75,7 @@ class TestClassify:
             r_min=1e-12,
             label="quarter-inverse-square",
         )
-        rep = bf.classify(prof, r_max=1e4, eps=1e-6)
+        rep = bf.classify(prof, r_max=1e4)
         assert rep.classification == bf.CLASS_INCONCLUSIVE  # never provably bounded
 
 
@@ -155,3 +158,102 @@ class TestNoncompactSide:
         v2 = float(d2.split("=")[-1])
         assert v2 < v1
         assert_allclose(v2, 4.0 / (math.pi * 1e4**3), rtol=1e-3)
+
+
+def inverse_cubic():
+    """b(r) = 1/(r(1+r^2)): singular at the origin, where a float raises."""
+    return CurvatureProfile(func=lambda r: 1.0 / (r * (1.0 + r * r)), label="1/(r(1+r^2))")
+
+
+# The four hand-written dominance checks that dominates() replaced, each as
+# accept(upper, lower) on float arrays.
+REFERENCE_FORMS = {
+    "certify base": lambda u, lo: np.isfinite(u) & (u - lo >= -1e-12 * (np.abs(lo) + np.abs(u))),
+    "certify fallback": lambda u, lo: np.isfinite(lo) & (lo <= u * (1 + 1e-12)),
+    "boundary_test": lambda u, lo: np.isfinite(u) & (u >= lo * (1.0 - 1e-12) - 1e-300),
+    "noncompact_side_check": lambda u, lo: np.isfinite(lo) & (lo <= u * (1.0 + 1e-12)),
+}
+
+
+def accepts(upper, lower):
+    """Whether dominates() lets the constant upper lie above the constant lower."""
+    const = lambda v: CurvatureProfile(func=lambda r: np.full(np.shape(r), v))
+    return dominates(const(upper), const(lower), [1.0]) is None
+
+
+def neighbours(x, n=3):
+    """x and its n nearest floats on each side."""
+    out = [x]
+    for direction in (math.inf, -math.inf):
+        y = x
+        for _ in range(n):
+            y = math.nextafter(y, direction)
+            out.append(y)
+    return out
+
+
+class TestDominates:
+    def test_first_failing_radius(self):
+        ar = bf.arctan_profile()
+        rs = np.geomspace(1.0, 100.0, 50)
+        dip = CurvatureProfile(func=lambda r: np.where(r > 10.0, 0.5, 1.0) * ar.func(r))
+        assert dominates(ar, ar, rs) is None
+        assert dominates(dip, ar, rs) == rs[rs > 10.0][0]
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_fails(self, value):
+        assert not accepts(1.0, value)
+        assert not accepts(value, 1.0)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        st.one_of(st.floats(0.0, 1e308), st.floats(0.0, 1e-300),
+                  st.sampled_from([0.0, 5e-324, 2.2250738585072014e-308, 1.0, 1.7976931348623157e308])),
+        st.one_of(st.floats(-3e-12, 3e-12), st.floats(-1.0, 1.0)),
+    )
+    def test_no_looser_than_the_old_forms(self, lower, rel):
+        """Every nonnegative pair an old form rejects, dominates rejects too.
+
+        The candidates for upper sit at ulp distance from lower (1 + rel) and
+        from each old form's own boundary, where rounding decides.
+        """
+        centres = [lower * (1.0 + rel), lower * (1.0 - 1e-12) - 1e-300, lower * (1 + 1e-12)]
+        uppers = {y for c in centres if math.isfinite(c) for y in neighbours(max(c, 0.0))}
+        for u, lo in [(u, lower) for u in uppers] + [(lower, u) for u in uppers]:
+            if not (0.0 <= u < math.inf and 0.0 <= lo < math.inf):
+                continue
+            with np.errstate(over="ignore"):  # the old forms overflowed near 1e308
+                rejected_by = [name for name, form in REFERENCE_FORMS.items()
+                               if not form(np.array([u]), np.array([lo]))[0]]
+            assert not (rejected_by and accepts(u, lo)), (u, lo, rejected_by)
+
+    def test_negative_constant_dominates_itself(self):
+        # a multiplicative slack b (1 -+ 1e-12) points the wrong way for b < 0
+        b = const_profile(-1e-3)
+        assert bf.boundary_test(b, b, r_max=100.0).verdict == "NoEvidence"
+        assert bf.noncompact_side_check(b, b, r_max=100.0).verdict == "NoncompactSide"
+
+
+class TestOriginStart:
+    def test_singular_origin_gives_typed_results(self):
+        prof = inverse_cubic()
+        assert isinstance(bf.abresch_checks(prof, r_max=100.0), bf.AbreschReport)
+        v = bf.boundary_test(prof, prof, r_max=100.0)
+        assert v.verdict in ("NoEvidence", "CompactSide")
+
+    def test_same_start_in_every_caller(self, monkeypatch):
+        prof = CurvatureProfile(func=lambda r: 1.0 / (1.0 + r * r) ** 2, r_min=1e-9,
+                                label="r_min=1e-9")
+        starts = []
+
+        def spy(profile, r_start, w0, w0p, *args):
+            starts.append((r_start, w0, w0p))
+            return integrate_sl(profile, r_start, w0, w0p, *args)
+
+        monkeypatch.setattr(bf, "integrate_sl", spy)
+        monkeypatch.setattr(sl_engine, "integrate_sl", spy)
+        bf.classify(prof, r_max=100.0)
+        bf.abresch_checks(prof, r_max=100.0)
+        bf.boundary_test(prof, prof, r_max=100.0)
+        sl_engine.picone_residual(prof, prof, 50.0)
+        assert starts == [(1e-6, 1e-6, 1.0)] * 5

@@ -245,7 +245,8 @@ class TestShellCoefficientOracle:
 
         spec = cf.KickSpec(2.0, 4.0, 9.0, 1.4, 1)
         prof = CurvatureProfile(
-            func=lambda r: cf.critical_decay(r, spec.mu if spec.a <= r <= spec.b else 0.0, 1),
+            func=lambda r: cf.critical_decay(
+                r, np.where((spec.a <= r) & (r <= spec.b), spec.mu, 0.0), 1),
             r_min=1.2,
             label="depth1-kick",
             breakpoints=(spec.a, spec.b),

@@ -104,6 +104,13 @@ class TestKickedKernels:
         if not (math.isfinite(r) and r > lo):
             assert want is not None and want[0] is DomainError
 
+    @pytest.mark.parametrize("r", [1e-200, 1e200, 1e308])
+    def test_extreme_radii_agree_without_warning(self, r):
+        # the squares underflow to 0 or overflow to inf: the values are inf and 0
+        for k in ([0] if r < 1.0 else [0, 1, 2]):
+            prof = kick.equality_profile(k)
+            assert prof.func(np.array([r]))[0] == prof.func(r) == (math.inf if r < 1.0 else 0.0)
+
     @pytest.mark.parametrize("k", [0, 1, 2])
     def test_equality_profile_matches_critical_decay(self, k):
         prof = kick.equality_profile(k)

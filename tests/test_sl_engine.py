@@ -11,7 +11,7 @@ from numpy.testing import assert_allclose
 from slboundary import closed_form as cf
 from slboundary import kick
 from slboundary.bifurcator import arctan_profile
-from slboundary.errors import DomainMismatch, NonFiniteCoefficient, YVanished
+from slboundary.errors import DomainError, DomainMismatch, NonFiniteCoefficient, YVanished
 from slboundary.sl_engine import (
     CurvatureProfile,
     IndexFormInput,
@@ -27,6 +27,27 @@ ROOT_COT = 0.8603335890193797  # smallest positive root of cot x = x
 
 def const_profile(c, label=""):
     return CurvatureProfile(func=lambda r: c + 0.0 * np.asarray(r), label=label or f"const-{c}")
+
+
+class TestProfileProtocol:
+    def test_scalar_only_func_is_refused(self):
+        # one float back for any input: values() must not loop over the radii
+        calls = []
+
+        def quarter(r):
+            calls.append(r)
+            return 0.25
+
+        prof = CurvatureProfile(func=quarter, label="scalar-only")
+        assert prof(2.0) == 0.25
+        with pytest.raises(DomainError, match=r"shape \(\) for \(3,\)"):
+            prof.values([1.0, 2.0, 3.0])
+        assert len(calls) == 2
+
+    def test_scalar_only_func_error_propagates(self):
+        prof = CurvatureProfile(func=lambda r: math.exp(-r), label="math-only")
+        with pytest.raises(TypeError):
+            prof.values(np.linspace(0.0, 1.0, 5))
 
 
 class TestIntegrate:
