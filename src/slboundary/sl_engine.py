@@ -3,8 +3,14 @@ with event detection for zeros and extrema, the index form, and the Picone
 comparison residual.
 
 The integrator is an adaptive 8th-order embedded pair (DOP853) with dense
-output.  Stored trajectories carry a refined grid on which the midpoint
-Hermite reconstruction satisfies the ODE-residual bound
+output.  Its step loop (_solve_piece) repeats scipy's DOP853 operation for
+operation, starting from scipy's own initial step and tableau, so nodes,
+states and dense output are bit-identical to solve_ivp(method="DOP853",
+dense_output=True) while each step costs less; it writes every accepted
+step's interpolation data straight into the stacked dense output.
+
+Stored trajectories carry a refined grid on which the midpoint Hermite
+reconstruction satisfies the ODE-residual bound
 |w'' + b w| <= tol * (|b w| + 1); zeros and extrema are bracketed on that
 grid and polished on the dense interpolant.
 """
@@ -17,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
+from scipy.integrate import DOP853, quad
 from scipy.optimize import brentq
 
 from .errors import (DomainError, DomainMismatch, NonFiniteCoefficient, StepUnderflow,
@@ -28,6 +34,8 @@ _TINY_SIGN = 1e-300
 ORIGIN_EPS = 1e-6
 #: Relative slack of dominates(), taken on the smaller of the two magnitudes.
 DOMINANCE_RTOL = 1e-12
+# scipy's step-size controller constants (scipy/integrate/_ivp/rk.py)
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
 
 
 @dataclass(frozen=True)
@@ -115,27 +123,35 @@ def origin_start(
 
 
 class _StackedDop853:
-    """One solve_ivp piece's DOP853 dense output, evaluated in one pass.
+    """One DOP853 piece's dense output, evaluated in one pass.
 
-    scipy's OdeSolution makes a Python call per segment; here each
-    segment's t_old, h, y_old and F are stacked once, a point takes
-    OdeSolution's own segment (searchsorted(ts, t, side="left") - 1,
-    clipped), and Dop853DenseOutput's recurrence runs over all points at
-    once, with the same operations in the same order, so the values are
-    bit-identical to OdeSolution.__call__.  `at` runs the same recurrence
-    in float arithmetic for one point, where numpy's per-call overhead
-    would dominate.
+    Built by _solve_piece from each accepted step's segment [t_old, t]:
+    ts holds the node radii, h = t - t_old, y_old the start states (w, w')
+    one after the other, and F (segment, power, state) scipy's
+    interpolation coefficients.
+    A point takes OdeSolution's own segment (searchsorted(ts, t,
+    side="left") - 1, clipped), and Dop853DenseOutput's recurrence runs
+    over all points at once, with the same operations in the same order,
+    so the values are bit-identical to scipy's dense output.  `at` runs
+    the same recurrence in float arithmetic for one point, where numpy's
+    per-call overhead would dominate.
+
+    y_end is the state at ts[-1]; accepted, rejected and nfev count the
+    solver's steps and right-hand-side evaluations.
     """
 
-    def __init__(self, sol):
-        segments = sol.interpolants
-        self.ts = sol.ts
-        self._inner = sol.ts[1:-1]
-        self.t_old = np.array([s.t_old for s in segments], dtype=float)
-        self.h = np.array([s.h for s in segments], dtype=float)
-        self.y_old = np.array([s.y_old for s in segments], dtype=float)
+    def __init__(self, ts, y_old, F, y_end, rejected, nfev):
+        self.ts = np.array(ts, dtype=float)
+        self._inner = self.ts[1:-1]
+        self.t_old = self.ts[:-1]
+        self.h = self.ts[1:] - self.t_old
+        self.y_old = np.array(y_old, dtype=float).reshape(-1, 2)
         # (power, segment, state), highest power first as the recurrence reads it
-        self.F = np.stack([s.F for s in segments], axis=1)[::-1].copy()
+        self.F = F.transpose(1, 0, 2)[::-1].copy()
+        self.y_end = y_end
+        self.accepted = len(self.ts) - 1
+        self.rejected = rejected
+        self.nfev = nfev
 
     def __call__(self, t):
         """(w, w') arrays at the points of the 1-d array t."""
@@ -228,6 +244,17 @@ class SLTrajectory:
         """(w, w') anywhere inside [r_start, r_end]."""
         return self.dense(r)
 
+    def solver_counts(self) -> dict:
+        """Accepted and rejected DOP853 steps and right-hand-side evaluations,
+        summed over the solve's pieces (a restricted trajectory reports the
+        whole solve it was cut from)."""
+        pieces = [piece for _, _, piece in self.dense.pieces]
+        return {
+            "accepted": sum(p.accepted for p in pieces),
+            "rejected": sum(p.rejected for p in pieces),
+            "nfev": sum(p.nfev for p in pieces),
+        }
+
     def residual_report(self) -> float:
         """Max over grid midpoints of |w'' + b w| / (tol * (|b w| + 1)).
 
@@ -261,8 +288,15 @@ class SLTrajectory:
 
 
 def _checked_rhs(profile: CurvatureProfile):
+    """(w', w'') = (y[1], -b(r) y[0]); NonFiniteCoefficient where b is NaN or inf.
+
+    b is widened to a Python float, so the product is taken in float64
+    whatever real type func returns, as it is when y is a float64 array.
+    """
+    func = profile.func
+
     def rhs(r, y):
-        b = profile.func(r)
+        b = float(func(r))
         if not math.isfinite(b):
             raise NonFiniteCoefficient(
                 f"profile {profile.label!r} evaluated to {b} at r = {r}"
@@ -272,27 +306,113 @@ def _checked_rhs(profile: CurvatureProfile):
     return rhs
 
 
-def _solver_rtol(tol: float) -> float:
-    return max(1e-3 * tol, 2.5e-14)
+def _solver_tolerances(tol, r_start, r_end, w0, w0p) -> tuple[float, float]:
+    """(rtol, atol) of every DOP853 piece of integrate_sl."""
+    scale = max(abs(w0), abs(w0p) * min(1.0, r_end - r_start), 1e-8)
+    return max(1e-3 * tol, 2.5e-14), max(1e-11 * tol * scale, 1e-280)
 
 
-def _solve_piece(profile, r_lo, r_hi, y0, tol, scale):
-    rtol = _solver_rtol(tol)
-    atol = max(1e-11 * tol * scale, 1e-280)
-    sol = solve_ivp(
-        _checked_rhs(profile),
-        (r_lo, r_hi),
-        y0,
-        method="DOP853",
-        dense_output=True,
-        rtol=rtol,
-        atol=atol,
-    )
-    if not sol.success:
-        if "step size" in (sol.message or "").lower():
-            raise StepUnderflow(sol.message)
-        raise StepUnderflow(f"integration failed on [{r_lo}, {r_hi}]: {sol.message}")
-    return sol
+def _norm_2(x) -> float:
+    """np.linalg.norm(x) ** 2 for a 1-d float array, as scipy's DOP853 takes it."""
+    return math.sqrt(float(x.dot(x))) ** 2
+
+
+def _solve_piece(profile, r_lo, r_hi, y0, rtol, atol) -> _StackedDop853:
+    """DOP853 from y0 at r_lo to r_hi, with its dense output.
+
+    scipy's DOP853 supplies the start (the first right-hand side, the
+    first step, the finite-y0 check) and the tableau; the loop below
+    repeats its _step_impl, rk_step, _estimate_error_norm and
+    _dense_output_impl operation for operation.  Every stage, weight,
+    error and interpolant sum is an np.dot (as ndarray.dot, the same call)
+    on the same array layout, and the elementwise steps run in float
+    arithmetic, so the nodes, states and dense output are bit-identical to
+    solve_ivp(method="DOP853", dense_output=True).  Raises StepUnderflow
+    where scipy stops with "Required step size is less than spacing
+    between numbers", naming the radius and the piece.
+    """
+    rhs = _checked_rhs(profile)
+    r_lo, r_hi = float(r_lo), float(r_hi)
+    solver = DOP853(rhs, r_lo, y0, r_hi, rtol=rtol, atol=atol)
+    rtol, atol = float(solver.rtol), float(solver.atol)
+    n, A, C, D = solver.n_stages, solver.A, solver.C, solver.D
+    K = solver.K_extended  # stage derivatives, one (w', w'') row per stage
+    Kf = K.reshape(-1)  # the same memory, written one float at a time
+    stages = [(2 * s, K[:s].T, A[s, :s], C[s]) for s in range(1, n)]
+    extra = [(2 * s, K[:s].T, a[:s], c) for s, (a, c) in
+             enumerate(zip(solver.A_EXTRA, solver.C_EXTRA), start=n + 1)]
+    KB, B = K[:n].T, solver.B
+    KE, E3, E5 = K[:n + 1].T, solver.E3, solver.E5
+    exponent = solver.error_exponent
+
+    t, h_abs = r_lo, float(solver.h_abs)
+    (w, wp), (f, fp) = solver.y.tolist(), solver.f.tolist()
+    ts, y_olds, F_low, F_high = [t], [], [], []
+    rejected, nfev = 0, solver.nfev
+    while t < r_hi:
+        min_step = 10 * abs(math.nextafter(t, math.inf) - t)
+        if h_abs < min_step:
+            h_abs = min_step
+        step_rejected = False
+        while True:  # rk_step until the error estimate accepts the step
+            if h_abs < min_step:
+                raise StepUnderflow(
+                    f"DOP853 step fell below {min_step!r} at r = {t!r} after "
+                    f"{len(ts) - 1} accepted steps on the piece [{r_lo!r}, {r_hi!r}] "
+                    f"of profile {profile.label!r}"
+                )
+            t_new = t + h_abs
+            if t_new - r_hi > 0:
+                t_new = r_hi
+            h = t_new - t
+            h_abs = abs(h)
+
+            Kf[0], Kf[1] = f, fp
+            for i, KT, a, c in stages:
+                d, dp = KT.dot(a).tolist()
+                Kf[i], Kf[i + 1] = rhs(t + c * h, (w + d * h, wp + dp * h))
+            d, dp = KB.dot(B).tolist()
+            w_new, wp_new = w + h * d, wp + h * dp
+            f_new, fp_new = Kf[2 * n], Kf[2 * n + 1] = rhs(t_new, (w_new, wp_new))
+            nfev += n
+
+            scale = np.array((atol + max(abs(w), abs(w_new)) * rtol,
+                              atol + max(abs(wp), abs(wp_new)) * rtol))
+            err5_norm_2 = _norm_2(KE.dot(E5) / scale)
+            err3_norm_2 = _norm_2(KE.dot(E3) / scale)
+            if err5_norm_2 == 0 and err3_norm_2 == 0:
+                error_norm = 0.0
+            else:
+                denom = err5_norm_2 + 0.01 * err3_norm_2
+                error_norm = abs(h) * err5_norm_2 / math.sqrt(denom * len(scale))
+
+            if error_norm < 1:
+                if error_norm == 0:
+                    factor = _MAX_FACTOR
+                else:
+                    factor = min(_MAX_FACTOR, _SAFETY * error_norm ** exponent)
+                if step_rejected:
+                    factor = min(1, factor)
+                h_abs *= factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** exponent)
+            step_rejected = True
+            rejected += 1
+
+        # _dense_output_impl: three extra stages, then the coefficients F
+        for i, KT, a, c in extra:
+            d, dp = KT.dot(a).tolist()
+            Kf[i], Kf[i + 1] = rhs(t + c * h, (w + d * h, wp + dp * h))
+        nfev += len(extra)
+        dw, dwp = w_new - w, wp_new - wp
+        F_low.extend((dw, dwp, h * f - dw, h * fp - dwp,
+                      2 * dw - h * (f_new + f), 2 * dwp - h * (fp_new + fp)))
+        F_high.append(h * D.dot(K))
+        y_olds.extend((w, wp))
+        ts.append(t_new)
+        t, w, wp, f, fp = t_new, w_new, wp_new, f_new, fp_new
+    F = np.concatenate([np.array(F_low).reshape(-1, 3, 2), np.array(F_high)], axis=1)
+    return _StackedDop853(ts, y_olds, F, (w, wp), rejected, nfev)
 
 
 def _hermite_defect(profile, grid, w, wp, tol):
@@ -436,23 +556,20 @@ def integrate_sl(
         )
 
     cuts = [r_start]
-    cuts += [b for b in sorted(profile.breakpoints) if r_start < b < r_end]
+    cuts += [b for b in sorted(set(profile.breakpoints)) if r_start < b < r_end]
     cuts.append(r_end)
-    scale = max(abs(w0), abs(w0p) * min(1.0, r_end - r_start), 1e-8)
+    rtol, atol = _solver_tolerances(tol, r_start, r_end, w0, w0p)
 
     pieces = []
     grids = []
     y = (float(w0), float(w0p))
     scales = (abs(w0), abs(w0p))
     for lo, hi in zip(cuts[:-1], cuts[1:]):
-        sol = _solve_piece(profile, lo, hi, y, tol, scale)
-        piece = _StackedDop853(sol.sol)
-        grid, scales = _refine_grid(
-            profile, piece, sol.t, tol, _solver_rtol(tol), scales
-        )
+        piece = _solve_piece(profile, lo, hi, y, rtol, atol)
+        grid, scales = _refine_grid(profile, piece, piece.ts, tol, rtol, scales)
         pieces.append((lo, hi, piece))
         grids.append(grid)
-        y = tuple(sol.y[:, -1])
+        y = piece.y_end
 
     dense = _PiecewiseDense(pieces)
     grid = np.unique(np.concatenate(grids))

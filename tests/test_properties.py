@@ -1,15 +1,20 @@
-"""Property tests for the coefficient kernels and the stacked dense output.
+"""Property tests for the coefficient kernels, the DOP853 loop and the
+stacked dense output.
 
 Built-in profiles evaluate one float with a scalar kernel (the ODE
 right-hand side) and arrays with a vector kernel; the two must agree and
 must refuse the same inputs.  The arctan scalar kernel must give exactly
-what the 0-d numpy path it replaced gave.  The stacked DOP853 evaluator
-reads private attributes of scipy's dense output, so it is checked bit for
-bit against OdeSolution.__call__: a scipy release that changes those
-attributes fails here, not in a certificate.
+what the 0-d numpy path it replaced gave.  The DOP853 step loop repeats
+scipy's stepping, so solve_ivp(method="DOP853", dense_output=True) is its
+reference: the same nodes, end state, per-segment interpolation data and
+typed errors, bit for bit, and the stacked evaluator against
+OdeSolution.__call__.  A scipy release that changes its stepping fails
+here, not in a certificate.
 """
 
+import dataclasses
 import math
+import re
 import struct
 
 import numpy as np
@@ -22,8 +27,9 @@ from slboundary import closed_form as cf
 from slboundary import kick
 from slboundary import surfaces as sf
 from slboundary.bifurcator import arctan_profile
-from slboundary.errors import DomainError
-from slboundary.sl_engine import _checked_rhs, _StackedDop853
+from slboundary.errors import DomainError, NonFiniteCoefficient, StepUnderflow
+from slboundary.sl_engine import (CurvatureProfile, _checked_rhs, _solve_piece,
+                                  _solver_tolerances, integrate_sl)
 
 PROPS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -177,9 +183,121 @@ class TestArctanKernel:
         assert ulps(scalar, vector) <= 3.0
 
 
+def reference_piece(prof, lo, hi, y0, rtol, atol):
+    """scipy's own DOP853 solve of one piece: the reference for _solve_piece."""
+    return solve_ivp(_checked_rhs(prof), (lo, hi), y0, method="DOP853",
+                     dense_output=True, rtol=rtol, atol=atol)
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def assert_same_piece(piece, sol):
+    """Nodes, end state, (t_old, h, y_old, F) per segment and counters."""
+    assert sol.success
+    segments = sol.sol.interpolants
+    assert same_bits(piece.ts, sol.t)
+    assert same_bits(piece.y_end, sol.y[:, -1])
+    assert same_bits(piece.t_old, [s.t_old for s in segments])
+    assert same_bits(piece.h, [s.h for s in segments])
+    assert same_bits(piece.y_old, [s.y_old for s in segments])
+    assert same_bits(piece.F, np.stack([s.F for s in segments], axis=1)[::-1])
+    assert piece.accepted == len(sol.t) - 1
+    assert piece.nfev == sol.nfev
+    # two start evaluations, 12 per attempted step, 3 per dense segment
+    assert sol.nfev == 2 + 12 * (piece.accepted + piece.rejected) + 3 * piece.accepted
+
+
+@st.composite
+def smooth_problems(draw):
+    """A smooth profile split at drawn breakpoints, an interval, tol and a start."""
+    kind = draw(st.sampled_from(["wave", "decay", "bump", "arctan"]))
+    c = draw(st.floats(0.1, 4.0))
+    if kind == "wave":
+        amp, om = draw(st.floats(0.0, 0.9)), draw(st.floats(0.1, 3.0))
+        prof = CurvatureProfile(func=lambda r: c * (1.0 + amp * np.sin(om * r)))
+    elif kind == "decay":
+        p = draw(st.floats(0.0, 3.0))
+        prof = CurvatureProfile(func=lambda r: c / (1.0 + r) ** p)
+    elif kind == "bump":
+        m, d = draw(st.floats(0.0, 20.0)), draw(st.floats(0.1, 5.0))
+        prof = CurvatureProfile(func=lambda r: c + d * np.exp(-((r - m) ** 2)))
+    else:
+        prof = arctan_profile()
+    lo = draw(st.floats(0.0, 5.0))
+    hi = lo + draw(st.floats(0.5, 1e3 if kind in ("decay", "arctan") else 40.0))
+    cuts = draw(st.lists(st.floats(0.01, 0.99), max_size=3))
+    prof = dataclasses.replace(prof, breakpoints=tuple(lo + f * (hi - lo) for f in cuts))
+    tol = 10.0 ** draw(st.floats(-13.0, -3.0))
+    w0, w0p = draw(st.sampled_from([(0.0, 1.0), (1.0, 0.0), (0.3, -2.0)]))
+    return prof, lo, hi, tol, w0, w0p
+
+
+class TestDop853Loop:
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(smooth_problems())
+    def test_bit_identical_to_solve_ivp(self, problem):
+        """Every piece of integrate_sl against solve_ivp from the same start."""
+        prof, lo, hi, tol, w0, w0p = problem
+        traj = integrate_sl(prof, lo, w0, w0p, hi, tol)
+        rtol, atol = _solver_tolerances(tol, lo, hi, w0, w0p)
+        y = (w0, w0p)
+        accepted = nfev = 0
+        for piece_lo, piece_hi, piece in traj.dense.pieces:
+            sol = reference_piece(prof, piece_lo, piece_hi, y, rtol, atol)
+            assert_same_piece(piece, sol)
+            accepted += len(sol.t) - 1
+            nfev += sol.nfev
+            y = sol.y[:, -1]
+        assert len(traj.dense.pieces) == 1 + len(set(prof.breakpoints))
+        counts = traj.solver_counts()
+        assert (counts["accepted"], counts["nfev"]) == (accepted, nfev)
+
+    def test_same_refusal_on_nan_tail(self):
+        bad = CurvatureProfile(func=lambda r: float(np.sqrt(5.0 - r)), label="nan-tail")
+        with np.errstate(invalid="ignore"):
+            want = raised(lambda y0: reference_piece(bad, 0.0, 6.0, y0, 1e-12, 1e-20),
+                          (0.0, 1.0))
+            got = raised(lambda y0: _solve_piece(bad, 0.0, 6.0, y0, 1e-12, 1e-20),
+                         (0.0, 1.0))
+        assert want is not None and want[0] is NonFiniteCoefficient
+        assert got == want
+
+    def test_float32_coefficient_taken_in_float64(self):
+        """scipy multiplies b by a float64 array entry; the loop's float
+        state must not let a float32 b round the product to float32."""
+        prof = CurvatureProfile(func=lambda r: np.float32(1.3) * np.float32(1 + 0.5 * math.sin(r)))
+
+        def unwidened_rhs(r, y):
+            return (y[1], -prof.func(r) * y[0])
+
+        sol = solve_ivp(unwidened_rhs, (0.0, 20.0), (0.0, 1.0), method="DOP853",
+                        dense_output=True, rtol=1e-6, atol=1e-14)
+        assert_same_piece(_solve_piece(prof, 0.0, 20.0, (0.0, 1.0), 1e-6, 1e-14), sol)
+
+    @pytest.mark.parametrize("tol", [1e-3, 1e-5, 1e-6])
+    def test_same_underflow_on_pole(self, tol):
+        """scipy stops where the step falls below 10 ulp; the loop raises
+        StepUnderflow there, naming the same radius and step count."""
+        pole = CurvatureProfile(func=lambda r: 1.0 / abs(r - 5.0), label="pole")
+        rtol, atol = _solver_tolerances(tol, 4.9, 5.1, 1.0, 0.0)
+        sol = reference_piece(pole, 4.9, 5.1, (1.0, 0.0), rtol, atol)
+        assert sol.status == -1 and "step size" in sol.message
+        with pytest.raises(StepUnderflow) as exc:
+            _solve_piece(pole, 4.9, 5.1, (1.0, 0.0), rtol, atol)
+        m = re.search(r"at r = (\S+) after (\d+) accepted steps on the piece "
+                      r"\[4\.9, 5\.1\]", str(exc.value))
+        assert m is not None, str(exc.value)
+        assert float(m.group(1)) == sol.t[-1]
+        assert int(m.group(2)) == len(sol.t) - 1
+
+
 @pytest.fixture(scope="module")
 def dense_solutions():
-    """DOP853 dense outputs of a kicked, an arctan and a surface profile."""
+    """scipy's OdeSolution and the loop's stacked dense output of the same
+    DOP853 solves of a kicked, an arctan and a surface profile."""
     cases = [
         (kick.kicked_profile(cf.KickSpec(1.0, math.e, math.e**2, 0.95, 0)), 1.0, 1e6),
         (arctan_profile(), 0.0, 1e4),
@@ -187,9 +305,8 @@ def dense_solutions():
     ]
     out = []
     for prof, lo, hi in cases:
-        sol = solve_ivp(_checked_rhs(prof), (lo, hi), (0.0, 1.0), method="DOP853",
-                        dense_output=True, rtol=1e-10, atol=1e-20)
-        out.append((sol.sol, _StackedDop853(sol.sol)))
+        sol = reference_piece(prof, lo, hi, (0.0, 1.0), 1e-10, 1e-20)
+        out.append((sol.sol, _solve_piece(prof, lo, hi, (0.0, 1.0), 1e-10, 1e-20)))
     return out
 
 
@@ -217,4 +334,4 @@ class TestStackedDense:
             want = sol(sol.ts)
             assert np.array_equal(w, want[0]) and np.array_equal(wp, want[1])
             assert [stacked.at(x) for x in sol.ts.tolist()] == list(zip(w, wp))
-            assert len(stacked.ts) == len(sol.ts)
+            assert same_bits(stacked.ts, sol.ts)

@@ -3,6 +3,7 @@ detection, the stored-grid residual certificate, the index form, and the
 Picone comparison residual."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -117,8 +118,17 @@ class TestIntegrate:
         from slboundary.errors import StepUnderflow
 
         pole = CurvatureProfile(func=lambda r: 1.0 / abs(r - 5.0), label="pole")
-        with pytest.raises(StepUnderflow):
+        with pytest.raises(StepUnderflow, match=r"on the piece \[4\.9, 5\.1\]") as exc:
             integrate_sl(pole, 4.9, 1.0, 0.0, 5.1, 1e-9)
+        r = float(re.search(r"at r = (\S+) ", str(exc.value)).group(1))
+        assert 4.9 < r <= 5.0
+
+    def test_repeated_breakpoint_cuts_once(self):
+        # a repeated breakpoint must not leave a zero-width piece
+        prof = CurvatureProfile(func=lambda r: 1.0 + 0.0 * np.asarray(r), breakpoints=(0.5, 0.5))
+        traj = integrate_sl(prof, 0.0, 0.0, 1.0, 1.0, 1e-9)
+        assert [(lo, hi) for lo, hi, _ in traj.dense.pieces] == [(0.0, 0.5), (0.5, 1.0)]
+        assert abs(traj.w[-1] - math.sin(1.0)) < 1e-8
 
     def test_precondition_checks(self):
         with pytest.raises(DomainMismatch):
