@@ -78,10 +78,7 @@ def _named_profile(name: str, args) -> CurvatureProfile:
 
 
 def cmd_lambda(args) -> int:
-    if args.k == 0:
-        lam = kick.lambda_linear(args.r0, args.a, args.b)
-    else:
-        lam = kick.lambda_log(args.k, args.r0, args.a, args.b)
+    lam = kick.lambda_log(args.k, args.r0, args.a, args.b)
     resid = threshold_residual(lam, args.k, args.r0, args.a, args.b)
     notes = []
     note = remark_shell_note(args.k, args.r0, args.a, args.b)

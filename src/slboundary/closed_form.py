@@ -6,10 +6,14 @@ The curvature family at depth k is
     critical_decay(r, mu, k) = (1/4) * ( 1/r^2 + 1/(r ln r)^2 + ...
                                 + (1 + 4 mu^2) / (r ln(r) ... ln^k(r))^2 ),
 
-whose solutions oscillate in the variable tau = ln^{k+1}(r) with amplitude
-amplitude(k+1, r) = sqrt(r ln(r) ... ln^k(r)).  Note the depth shift: the
-depth-k family pairs with the (k+1)-fold logarithm, which is what makes the
-k = 0 case reduce to the classical sqrt(r) * trig(mu ln r) solutions.
+whose solutions are amplitude(k+1, r) = sqrt(r ln(r) ... ln^k(r)) times a
+solution of g'' + mu^2 g = 0 in tau = ln^{k+1}(r).  Note the depth shift:
+the depth-k family pairs with the (k+1)-fold logarithm, so k = 0 gives the
+classical sqrt(r) * trig(mu ln r) solutions.  With the kick on [a, b] only,
+g is tau - tau(r0) up to a, A cos(mu tau) + B sin(mu tau) on the shell and
+alpha_tau + beta_tau tau beyond b.  The matching, the threshold's gap and
+offset and the second zero are all read in tau, at every depth k and base
+point r0.
 
 Everything in this module is closed-form; it is the oracle the numerical
 engine is validated against.
@@ -175,7 +179,8 @@ class KickSpec:
     """Shell [a, b] with kick amplitude mu on top of the depth-k critical decay.
 
     The base point r0 satisfies superpower(k) < r0 <= a < b so that the
-    closed-form branches are defined on [r0, infinity).
+    closed-form branches are defined on [r0, infinity); r0, a, b and mu
+    are finite.
     """
 
     r0: float
@@ -187,6 +192,9 @@ class KickSpec:
     def __post_init__(self):
         if self.k < 0:
             raise InvalidShell(f"log depth must be >= 0, got {self.k}")
+        for name in ("r0", "a", "b", "mu"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidShell(f"{name} must be finite, got {getattr(self, name)}")
         ek = superpower(self.k)
         if not (ek < self.r0 <= self.a < self.b):
             raise InvalidShell(
@@ -195,6 +203,16 @@ class KickSpec:
             )
         if self.mu < 0.0:
             raise InvalidShell(f"kick amplitude must be >= 0, got {self.mu}")
+
+
+def shell_gaps(k: int, r0: float, a: float, b: float) -> tuple[float, float]:
+    """(tau(a) - tau(r0), tau(b) - tau(a)) at depth k.
+
+    Each is the log of a ratio of k-fold logarithms, ln(a/r0) and ln(b/a)
+    at k = 0, so a shell far from the origin keeps its digits.
+    """
+    l0, la, lb = iter_log(k, r0), iter_log(k, a), iter_log(k, b)
+    return math.log(la / l0), math.log(lb / la)
 
 
 @dataclass(frozen=True)
@@ -214,8 +232,9 @@ class MatchingCoefficients:
     k: int = 0
 
 
-def _shell_coefficients(spec: KickSpec) -> tuple[float, float]:
-    """(A, B) for the shell branch in the absolute tau basis."""
+def _branch_coefficients(spec: KickSpec) -> tuple[float, float, float, float]:
+    """(A, B, alpha_tau, beta_tau) of the shell and outer branches in tau,
+    from C^1 matching at a and b; beta_tau < 0 forces a zero beyond b."""
     if spec.mu == 0.0:
         raise DegenerateMu("mu = 0 has no oscillatory shell branch")
     mu = spec.mu
@@ -224,131 +243,97 @@ def _shell_coefficients(spec: KickSpec) -> tuple[float, float]:
     ca, sa = math.cos(mu * ta), math.sin(mu * ta)
     A = ca * (ta - t0) - sa / mu
     B = sa * (ta - t0) + ca / mu
-    return A, B
-
-
-def matching_coefficients(spec: KickSpec) -> MatchingCoefficients:
-    """C^1 matching of the three branches at r = a and r = b.
-
-    The outer-branch beta is always computed from the matching conditions;
-    sign(beta) decides whether the solution crosses zero beyond the shell.
-    """
-    mu = spec.mu
-    A, B = _shell_coefficients(spec)
     tb = _tau(spec.k, spec.b)
     cb, sb = math.cos(mu * tb), math.sin(mu * tb)
     beta_tau = mu * (B * cb - A * sb)
     alpha_tau = A * cb + B * sb - beta_tau * tb
+    return A, B, alpha_tau, beta_tau
+
+
+def matching_coefficients(spec: KickSpec) -> MatchingCoefficients:
+    """C^1 matching of the three branches at r = a and r = b."""
+    A, B, alpha, beta = _branch_coefficients(spec)
     if spec.k == 0:
         # Rebase onto (r/b)^{1/2} (alpha + beta ln(r/b)).
         sqb = math.sqrt(spec.b)
-        beta = beta_tau * sqb
-        alpha = (alpha_tau + beta_tau * math.log(spec.b)) * sqb
-        return MatchingCoefficients(A=A, B=B, alpha=alpha, beta=beta, k=0)
-    return MatchingCoefficients(A=A, B=B, alpha=alpha_tau, beta=beta_tau, k=spec.k)
-
-
-def degenerate_solution(spec: KickSpec, r):
-    """Solution for mu = 0: amplitude(r) * (tau(r) - tau(r0)) on all of [r0, inf)."""
-    phi = amplitude(spec.k + 1, r)
-    return phi * (_tau(spec.k, r) - _tau(spec.k, spec.r0))
+        alpha, beta = (alpha + beta * math.log(spec.b)) * sqb, beta * sqb
+    return MatchingCoefficients(A=A, B=B, alpha=alpha, beta=beta, k=spec.k)
 
 
 def log_kick_solution(spec: KickSpec, r):
     """Piecewise solution of w'' + critical_decay(r, mu * chi_[a,b], k) w = 0.
 
-    Normalisation: w(r0) = 0 and w'(r0) = 1 / amplitude(r0), the slope the
-    inner branch amplitude(r) * (tau - tau0) carries.  Vectorised over r.
-    Dispatches mu = 0 to the degenerate global branch.
+    amplitude(k+1, r) times g(tau), whose first branch holds on all of
+    [r0, infinity) when mu = 0.  Normalisation: w(r0) = 0 and w'(r0) =
+    1 / amplitude(r0).  Vectorised over r.
     """
-    if spec.mu == 0.0:
-        return degenerate_solution(spec, r)
     x = np.asarray(r, dtype=float)
     if np.any(x < spec.r0):
         raise DomainError("solution is defined on [r0, infinity)")
-    mu = spec.mu
-    t = _tau(spec.k, x) if x.ndim else np.asarray(_tau(spec.k, x))
-    t = np.asarray(t, dtype=float)
+    t = np.asarray(_tau(spec.k, x), dtype=float)
     phi = np.asarray(amplitude(spec.k + 1, x), dtype=float)
-    t0 = _tau(spec.k, spec.r0)
-    coef = matching_coefficients(spec)
-    A, B = coef.A, coef.B
-    tb = _tau(spec.k, spec.b)
-    cbs, sbs = math.cos(mu * tb), math.sin(mu * tb)
-    beta_tau = mu * (B * cbs - A * sbs)
-    alpha_tau = A * cbs + B * sbs - beta_tau * tb
-
-    inner = t - t0
-    shell = A * np.cos(mu * t) + B * np.sin(mu * t)
-    outer = alpha_tau + beta_tau * t
-    g = np.where(x <= spec.a, inner, np.where(x <= spec.b, shell, outer))
+    g = t - _tau(spec.k, spec.r0)
+    if spec.mu != 0.0:
+        mu = spec.mu
+        A, B, alpha_tau, beta_tau = _branch_coefficients(spec)
+        shell = A * np.cos(mu * t) + B * np.sin(mu * t)
+        g = np.where(x <= spec.a, g, np.where(x <= spec.b, shell, alpha_tau + beta_tau * t))
     out = phi * g
     return out if out.ndim else float(out)
 
 
 def linear_kick_solution(spec: KickSpec, r):
-    """Three-branch solution for the k = 0 kick, base point normalised to r0 = 1.
+    """log_kick_solution at k = 0 with base point r0 = 1:
 
         r^{1/2} ln r                                               on [1, a]
         r^{1/2} ( ln(a) cos(mu ln(r/a)) + (1/mu) sin(mu ln(r/a)) ) on [a, b]
         (r/b)^{1/2} ( alpha + beta ln(r/b) )                       beyond b
-
-    C^1 at a and b by construction; w(1) = 0, w'(1) = 1.  Vectorised over r.
-    Other base points reduce to this one through the scaling law
-    r1(r0, a, b) = r0 * r1(1, a/r0, b/r0).
     """
-    if spec.k != 0:
-        raise DomainError("linear_kick_solution is the k = 0 form")
-    if spec.r0 != 1.0:
-        raise DomainError("normalise the base point to r0 = 1 (scaling law)")
-    if spec.mu == 0.0:
-        return degenerate_solution(spec, r)
-    x = np.asarray(r, dtype=float)
-    if np.any(x < 1.0):
-        raise DomainError("solution is defined on [1, infinity)")
-    mu, a, b = spec.mu, spec.a, spec.b
-    coef = matching_coefficients(spec)
-    sq = np.sqrt(x)
-    inner = sq * np.log(x)
-    lra = np.log(x / a)
-    shell = sq * (math.log(a) * np.cos(mu * lra) + np.sin(mu * lra) / mu)
-    lrb = np.log(x / b)
-    outer = np.sqrt(x / b) * (coef.alpha + coef.beta * lrb)
-    out = np.where(x <= a, inner, np.where(x <= b, shell, outer))
-    return out if out.ndim else float(out)
+    if spec.k != 0 or spec.r0 != 1.0:
+        raise DomainError("linear_kick_solution is the k = 0, r0 = 1 form")
+    return log_kick_solution(spec, r)
+
+
+def _radius_past(k: int, r: float, s: float) -> float:
+    """The radius whose tau lies s beyond tau(r), inf past float range.
+
+    Its k-fold log is ln^k(r) e^s; each step down the iterated logs scales
+    ln^{j-1}(r) by the exp of ln^j(r) expm1(.), so no digits cancel.
+    """
+    logs = [r]
+    for _ in range(k):
+        logs.append(math.log(logs[-1]))
+    try:
+        for x in reversed(logs[1:]):
+            s = x * math.expm1(s)
+        return logs[0] * math.exp(s)
+    except OverflowError:
+        return math.inf
 
 
 def second_zero_closed_form(spec: KickSpec) -> float:
-    """First zero beyond r0 = 1 of the k = 0 kicked solution.
+    """First zero beyond r0 of the kicked solution, at any depth and base point.
 
-    Shell case: the shell branch vanishes where tan(mu ln(r/a)) = -mu ln(a),
-    i.e. at phase psi = pi - arctan(mu ln a); a root lands inside (a, b] iff
-    mu ln(b/a) >= psi.  Otherwise the solution stays positive across the
-    shell and the outer branch vanishes at b * e^F with
+    With d = tau(a) - tau(r0) and th = mu (tau(b) - tau(a)), the shell
+    branch vanishes at phase psi = pi - arctan(mu d) past tau(a); a root
+    lands inside (a, b] iff th >= psi.  Otherwise the solution stays
+    positive across the shell and the outer branch vanishes F past tau(b),
 
-        F = (ln(a) cos(th) + sin(th)/mu) / (mu ln(a) sin(th) - cos(th)),
-        th = mu ln(b/a),
+        F = (d cos(th) + sin(th)/mu) / (mu d sin(th) - cos(th)),
 
-    which requires beta < 0, equivalent to mu above the threshold.
+    which requires beta < 0, equivalent to mu above the threshold.  At
+    k = 0 the root is a e^{psi/mu} or b e^F; inf past float range.
     """
-    if spec.k != 0 or spec.r0 != 1.0:
-        raise DomainError("closed-form second zero is the k = 0, r0 = 1 form")
-    mu, a, b = spec.mu, spec.a, spec.b
+    mu = spec.mu
     if mu == 0.0:
-        raise NoSecondZero("mu = 0: the solution r^{1/2} ln r never vanishes again")
-    theta = mu * math.log(b / a)
-    phi = math.atan(mu * math.log(a))
-    psi = math.pi - phi
+        raise NoSecondZero("mu = 0: amplitude * (tau - tau(r0)) never vanishes again")
+    d, gap = shell_gaps(spec.k, spec.r0, spec.a, spec.b)
+    theta = mu * gap
+    psi = math.pi - math.atan(mu * d)
     if theta >= psi:
-        return a * math.exp(psi / mu)
+        return _radius_past(spec.k, spec.a, psi / mu)
     ct, st = math.cos(theta), math.sin(theta)
-    den = mu * math.log(a) * st - ct
+    den = mu * d * st - ct
     if den <= 0.0:  # beta >= 0: positive, eventually increasing outer branch
-        raise NoSecondZero(
-            f"mu = {mu} is at or below the shell threshold; no second zero"
-        )
-    F = (math.log(a) * ct + st / mu) / den
-    try:
-        return b * math.exp(F)
-    except OverflowError:
-        return math.inf  # mu is so close to the threshold the root leaves float range
+        raise NoSecondZero(f"mu = {mu} is at or below the shell threshold; no second zero")
+    return _radius_past(spec.k, spec.b, (d * ct + st / mu) / den)

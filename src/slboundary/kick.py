@@ -24,12 +24,12 @@ from .closed_form import (
     KickSpec,
     critical_decay,
     critical_decay_float,
-    iter_log,
     log_product_float,
     second_zero_closed_form,
+    shell_gaps,
     superpower,
 )
-from .errors import InvalidShell, NoSecondZero
+from .errors import InvalidShell
 from .sl_engine import CurvatureProfile, coefficient_func, dominates, find_second_zero
 
 #: The source remark quotes 0.46 for the shell a = e, b = e^2.  The defining
@@ -73,32 +73,25 @@ def _smallest_cot_root(gap: float, offset: float) -> float:
 
 
 def lambda_linear(r0: float, a: float, b: float) -> float:
-    """Kick threshold for the depth-0 family; requires 0 < r0 <= a < b."""
-    if not 0.0 < r0 <= a < b:
-        raise InvalidShell(f"need 0 < r0 <= a < b, got ({r0}, {a}, {b})")
-    return _smallest_cot_root(math.log(b / a), math.log(a / r0))
+    """Kick threshold for the depth-0 family: lambda_log(0, r0, a, b)."""
+    return lambda_log(0, r0, a, b)
 
 
 def lambda_log(k: int, r0: float, a: float, b: float) -> float:
-    """Kick threshold at log depth k; lambda_log(0, ...) == lambda_linear(...).
-
-    The depth-k family oscillates in the (k+1)-fold logarithm, so the gap and
-    offset are differences of iter_log(k+1, .) values.
-    """
+    """Kick threshold at log depth k, from the gap and offset of shell_gaps."""
     if k < 0:
         raise InvalidShell(f"log depth must be >= 0, got {k}")
     if not superpower(k) < r0 <= a < b:
         raise InvalidShell(
             f"need superpower({k}) = {superpower(k)} < r0 <= a < b, got ({r0}, {a}, {b})"
         )
-    t = lambda r: iter_log(k + 1, r)
-    return _smallest_cot_root(t(b) - t(a), t(a) - t(r0))
+    offset, gap = shell_gaps(k, r0, a, b)
+    return _smallest_cot_root(gap, offset)
 
 
 def threshold_residual(lam: float, k: int, r0: float, a: float, b: float) -> float:
     """|cot(lam * gap) - lam * offset| for reporting alongside a computed root."""
-    t = lambda r: iter_log(k + 1, r)
-    gap, offset = t(b) - t(a), t(a) - t(r0)
+    offset, gap = shell_gaps(k, r0, a, b)
     return abs(math.cos(lam * gap) / math.sin(lam * gap) - lam * offset)
 
 
@@ -152,19 +145,12 @@ def remark_shell_note(k: int, r0: float, a: float, b: float) -> Optional[str]:
 
 
 def diameter_bound(spec: KickSpec, all_origins: bool = False) -> float:
-    """Diameter bound from the closed-form second zero (depth 0 only).
+    """Diameter bound 2 r1 from the closed-form second zero, at any depth.
 
-    Returns 2 * r1, or r1 itself when the curvature hypotheses are asserted
-    at every origin.  General base points reduce to r0 = 1 by the scaling law
-    r1(r0, a, b) = r0 * r1(1, a/r0, b/r0).
+    Returns r1 itself when the curvature hypotheses are asserted at every
+    origin.
     """
-    if spec.k != 0:
-        raise NoSecondZero("closed-form diameter bound is the depth-0 form")
-    if spec.r0 == 1.0:
-        r1 = second_zero_closed_form(spec)
-    else:
-        unit = KickSpec(1.0, spec.a / spec.r0, spec.b / spec.r0, spec.mu, 0)
-        r1 = spec.r0 * second_zero_closed_form(unit)
+    r1 = second_zero_closed_form(spec)
     return r1 if all_origins else 2.0 * r1
 
 

@@ -2,8 +2,11 @@
 schema."""
 
 import argparse
+import importlib.util
 import json
 import math
+import sys
+from pathlib import Path
 
 import pytest
 from numpy.testing import assert_allclose
@@ -233,3 +236,15 @@ class TestDeterminism:
     def test_meta_block_present_without_flag(self, capsys):
         _, doc = run_json(capsys, ["lambda", "--r0", "1", "--a", "2", "--b", "4", "--json"])
         assert "meta" in doc and "generated_at" in doc["meta"]
+
+    def test_readme_commands_match_goldens(self):
+        # bench/cli_gate.py's own check, loaded without writing bytecode under bench/
+        path = Path(__file__).resolve().parents[1] / "bench" / "cli_gate.py"
+        spec = importlib.util.spec_from_file_location("cli_gate", path)
+        gate = importlib.util.module_from_spec(spec)
+        dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+        try:
+            spec.loader.exec_module(gate)
+        finally:
+            sys.dont_write_bytecode = dont_write
+        assert gate.check() == []

@@ -126,6 +126,14 @@ class TestKickSpec:
             cf.KickSpec(r0=0.9, a=2.0, b=3.0, mu=1.0, k=1)  # needs r0 > e_1 = 1
         cf.KickSpec(r0=1.1, a=2.0, b=3.0, mu=1.0, k=1)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["r0", "a", "b", "mu"])
+    def test_non_finite_field_refused(self, field, value):
+        fields = dict(r0=1.0, a=E, b=E**2, mu=1.0)
+        fields[field] = value
+        with pytest.raises(InvalidShell):
+            cf.KickSpec(**fields)
+
 
 class TestLinearKickSolution:
     spec = cf.KickSpec(1.0, E, E**2, 2.0, 0)
@@ -175,9 +183,24 @@ class TestLinearKickSolution:
         with pytest.raises(DegenerateMu):
             cf.matching_coefficients(spec0)
 
+    def test_mu_zero_below_base_point_refused(self):
+        # the domain check comes before the mu = 0 branch
+        spec = cf.KickSpec(2.0, 3.0, 4.0, 0.0, 0)
+        with pytest.raises(DomainError):
+            cf.log_kick_solution(spec, 1.0)
+        assert cf.log_kick_solution(spec, 2.0) == 0.0
+
     def test_log_form_reduces_to_linear_form_at_depth_zero(self):
+        # the three k = 0 branches written out in r, as linear_kick_solution's
+        # docstring gives them
+        mu, a, b = self.spec.mu, self.spec.a, self.spec.b
+        coef = cf.matching_coefficients(self.spec)
         r = np.geomspace(1.0, 200.0, 301)
-        y_lin = cf.linear_kick_solution(self.spec, r)
+        lra = np.log(r / a)
+        y_lin = np.where(
+            r <= a, np.sqrt(r) * np.log(r),
+            np.where(r <= b, np.sqrt(r) * (math.log(a) * np.cos(mu * lra) + np.sin(mu * lra) / mu),
+                     np.sqrt(r / b) * (coef.alpha + coef.beta * np.log(r / b))))
         y_log = cf.log_kick_solution(self.spec, r)
         assert np.max(np.abs(y_lin - y_log)) <= 1e-12 * np.max(np.abs(y_lin))
 

@@ -135,10 +135,13 @@ class TestDiameterBound:
         assert_allclose(kick.diameter_bound(spec3), 3 * kick.diameter_bound(spec1),
                         rtol=1e-12)
 
-    def test_half_bound_matches_engine_second_zero(self):
-        spec = cf.KickSpec(1.0, 2.0, 5.0, 2.0, 0)
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_half_bound_matches_engine_second_zero(self, k):
+        # the depth-1 and depth-2 zeros lie beyond b, on the outer branch
+        shell = {0: (1.0, 2.0, 5.0), 1: (2.0, 4.0, 10.0), 2: (3.0, 6.0, 30.0)}[k]
+        spec = cf.KickSpec(*shell, 2.0, k)
         r1 = kick.diameter_bound(spec) / 2
-        res = find_second_zero(kick.kicked_profile(spec), 1.0, 3 * r1, 1e-10)
+        res = find_second_zero(kick.kicked_profile(spec), spec.r0, 3 * r1, 1e-10)
         assert_allclose(res.r1, r1, rtol=1e-6)
 
 

@@ -10,6 +10,10 @@ reference: the same nodes, end state, per-segment interpolation data and
 typed errors, bit for bit, and the stacked evaluator against
 OdeSolution.__call__.  A scipy release that changes its stepping fails
 here, not in a certificate.
+
+The closed-form second zero must match a bracket-and-brentq scan of the
+kicked solution at depths 0-2, equal the old depth-0 formula bit for bit
+at r0 = 1, obey the depth-0 scaling law and fall as the kick grows.
 """
 
 import dataclasses
@@ -22,12 +26,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
+from scipy.optimize import brentq
 
 from slboundary import closed_form as cf
 from slboundary import kick
 from slboundary import surfaces as sf
 from slboundary.bifurcator import arctan_profile
-from slboundary.errors import DomainError, NonFiniteCoefficient, StepUnderflow
+from slboundary.errors import DomainError, NoSecondZero, NonFiniteCoefficient, StepUnderflow
 from slboundary.sl_engine import (CurvatureProfile, _checked_rhs, _solve_piece,
                                   _solver_tolerances, integrate_sl)
 
@@ -335,3 +340,97 @@ class TestStackedDense:
             assert np.array_equal(w, want[0]) and np.array_equal(wp, want[1])
             assert [stacked.at(x) for x in sol.ts.tolist()] == list(zip(w, wp))
             assert same_bits(stacked.ts, sol.ts)
+
+
+def second_zero_k0_reference(mu, a, b):
+    """The depth-0, r0 = 1 second zero as second_zero_closed_form computed
+    it before it took every depth and base point."""
+    theta = mu * math.log(b / a)
+    phi = math.atan(mu * math.log(a))
+    psi = math.pi - phi
+    if theta >= psi:
+        return a * math.exp(psi / mu)
+    ct, st = math.cos(theta), math.sin(theta)
+    den = mu * math.log(a) * st - ct
+    if den <= 0.0:
+        return None
+    F = (math.log(a) * ct + st / mu) / den
+    try:
+        return b * math.exp(F)
+    except OverflowError:
+        return math.inf
+
+
+def scanned_second_zero(spec, r_cap):
+    """First sign change of log_kick_solution beyond a, polished by brentq.
+
+    The solution is positive on (r0, a]; the shell is scanned finely enough
+    to separate its zeros, and beyond b it is a line in tau.
+    """
+    rs = np.concatenate([np.geomspace(spec.a, spec.b, 2000),
+                         np.geomspace(spec.b, r_cap, 2000)[1:]])
+    rs = rs[rs > spec.r0]  # w(r0) = 0 when the shell starts at r0
+    vals = cf.log_kick_solution(spec, rs)
+    neg = np.nonzero(vals <= 0.0)[0]
+    if not len(neg):
+        return None
+    i = int(neg[0])
+    if vals[i] == 0.0:
+        return float(rs[i])
+    return brentq(lambda r: cf.log_kick_solution(spec, r), rs[i - 1], rs[i],
+                  xtol=1e-300, rtol=4 * np.finfo(float).eps, maxiter=500)
+
+
+@st.composite
+def kicked_shells(draw, depths=(0, 1, 2)):
+    """A shell at one of the depths with mu between 1.05 and 4 thresholds."""
+    k = draw(st.sampled_from(depths))
+    r0 = cf.superpower(k) + draw(st.floats(0.5, 20.0))
+    a = r0 * draw(st.floats(1.0, 10.0))
+    b = a * draw(st.floats(1.2, 10.0))
+    mu = draw(st.floats(1.05, 4.0)) * kick.lambda_log(k, r0, a, b)
+    return cf.KickSpec(r0, a, b, mu, k)
+
+
+class TestSecondZero:
+    @PROPS
+    @given(kicked_shells())
+    def test_matches_scan_of_the_solution(self, spec):
+        r1 = cf.second_zero_closed_form(spec)
+        scan = scanned_second_zero(spec, 1e12)
+        if r1 > 1e12:
+            assert scan is None
+        else:
+            assert abs(scan - r1) <= 1e-12 * r1
+
+    @PROPS
+    @given(st.floats(1.0, 50.0), st.floats(1.001, 50.0), st.floats(0.0, 8.0))
+    def test_bit_identical_to_old_depth_zero_form(self, a, ratio, mu):
+        spec = cf.KickSpec(1.0, a, a * ratio, mu, 0)
+        want = None if mu == 0.0 else second_zero_k0_reference(mu, spec.a, spec.b)
+        if want is None:
+            with pytest.raises(NoSecondZero):
+                cf.second_zero_closed_form(spec)
+        else:
+            assert bits(cf.second_zero_closed_form(spec)) == bits(want)
+
+    @PROPS
+    @given(kicked_shells(depths=(0,)))
+    def test_scaling_law(self, spec):
+        unit = cf.KickSpec(1.0, spec.a / spec.r0, spec.b / spec.r0, spec.mu, 0)
+        r1 = cf.second_zero_closed_form(spec)
+        assert abs(r1 - spec.r0 * cf.second_zero_closed_form(unit)) <= 1e-12 * r1
+
+    @PROPS
+    @given(kicked_shells(), st.floats(1.0, 3.0))
+    def test_sturm_monotone_in_mu(self, spec, factor):
+        bigger = dataclasses.replace(spec, mu=factor * spec.mu)
+        assert cf.second_zero_closed_form(bigger) <= cf.second_zero_closed_form(spec)
+
+
+class TestThreshold:
+    @PROPS
+    @given(st.floats(1e-3, 1e3), st.floats(1.0, 100.0), st.floats(1.001, 100.0))
+    def test_linear_is_log_at_depth_zero(self, r0, fa, fb):
+        a, b = r0 * fa, r0 * fa * fb
+        assert bits(kick.lambda_linear(r0, a, b)) == bits(kick.lambda_log(0, r0, a, b))
