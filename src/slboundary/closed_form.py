@@ -209,8 +209,11 @@ def shell_gaps(k: int, r0: float, a: float, b: float) -> tuple[float, float]:
     """(tau(a) - tau(r0), tau(b) - tau(a)) at depth k.
 
     Each is the log of a ratio of k-fold logarithms, ln(a/r0) and ln(b/a)
-    at k = 0, so a shell far from the origin keeps its digits.
+    at k = 0, so a shell far from the origin keeps its digits.  Raises
+    InvalidShell on a non-finite r0, a or b.
     """
+    if not (math.isfinite(r0) and math.isfinite(a) and math.isfinite(b)):
+        raise InvalidShell(f"shell bounds must be finite, got r0={r0}, a={a}, b={b}")
     l0, la, lb = iter_log(k, r0), iter_log(k, a), iter_log(k, b)
     return math.log(la / l0), math.log(lb / la)
 
@@ -265,10 +268,11 @@ def log_kick_solution(spec: KickSpec, r):
 
     amplitude(k+1, r) times g(tau), whose first branch holds on all of
     [r0, infinity) when mu = 0.  Normalisation: w(r0) = 0 and w'(r0) =
-    1 / amplitude(r0).  Vectorised over r.
+    1 / amplitude(r0).  Vectorised over r; a radius below r0 or NaN raises
+    DomainError.
     """
     x = np.asarray(r, dtype=float)
-    if np.any(x < spec.r0):
+    if not np.all(x >= spec.r0):
         raise DomainError("solution is defined on [r0, infinity)")
     t = np.asarray(_tau(spec.k, x), dtype=float)
     phi = np.asarray(amplitude(spec.k + 1, x), dtype=float)

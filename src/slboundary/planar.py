@@ -108,12 +108,14 @@ def parabola_x_of_s(k: float, s) -> np.ndarray:
     if np.any(s < 0.0):
         raise DomainError("arclength from the vertex must be >= 0")
     x = np.minimum(s, np.sqrt(s / k))
+    tol = 1e-13 * (1.0 + np.max(s))
     for _ in range(100):
-        g = parabola_arclength(k, x) - s
-        slope = np.sqrt(1.0 + 4.0 * k * k * x * x)
-        dx = g / slope
-        x = np.maximum(x - dx, 0.0)
-        if np.max(np.abs(g)) <= 1e-13 * (1.0 + np.max(s)):
+        # q is both the slope L'(x) and the root in L(x), computed with
+        # exactly parabola_arclength's operations.
+        q = np.sqrt(1.0 + 4.0 * k * k * x * x)
+        g = 0.5 * (x * q + np.arcsinh(2.0 * k * x) / (2.0 * k)) - s
+        x = np.maximum(x - g / q, 0.0)
+        if np.max(np.abs(g)) <= tol:
             break
     return x if x.ndim else float(x)
 
@@ -186,11 +188,18 @@ def self_intersects(curve: PlanarCurve) -> Optional[tuple]:
     """First pair of non-adjacent intersecting segments, as arclength values.
 
     Candidate pairs come from a sort-based uniform spatial hash with cell size
-    equal to the longest segment; candidates are tested with orientation
-    predicates in ascending (i, j) order and the first hit is returned as the
-    interpolated (s_i, s_j) of the crossing.  Adjacent segments are excluded.
+    equal to the longest segment: each cell a segment's box touches gets one
+    row holding the packed int64 cell key, the rows are sorted by key once,
+    and two rows share a cell exactly when their keys are equal.  Candidates
+    are tested with orientation predicates in ascending (i, j) order and the
+    first hit is returned as the interpolated (s_i, s_j) of the crossing.
+    Every crossing or touching pair shares a cell, so the hit is the smallest
+    intersecting (i, j).  Adjacent segments are excluded.  Raises DomainError
+    on a non-finite vertex.
     """
     x, y, s = curve.x, curve.y, curve.s
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise DomainError("polyline has a non-finite vertex")
     nseg = len(x) - 1
     if nseg < 2:
         return None
@@ -200,30 +209,44 @@ def self_intersects(curve: PlanarCurve) -> Optional[tuple]:
         return None
     inv = 1.0 / cell
 
-    # One (cell x, cell y, segment) row per cell a segment's box touches.  A
-    # box spans about 2 x 2 cells, so the loops run over offsets, not segments.
-    pts = np.column_stack((x, y))
-    lo = np.floor(np.minimum(pts[:-1], pts[1:]) * inv).astype(np.int64)
-    span = np.floor(np.maximum(pts[:-1], pts[1:]) * inv).astype(np.int64) - lo
-    rows = []
-    for ox in range(int(span[:, 0].max()) + 1):
-        for oy in range(int(span[:, 1].max()) + 1):
-            keep = np.flatnonzero((span[:, 0] >= ox) & (span[:, 1] >= oy))
-            rows.append(np.column_stack((lo[keep] + (ox, oy), keep)))
-    rows = np.concatenate(rows)
-    cx, cy, seg = rows[np.lexsort(rows.T[::-1])].T
+    # Each segment's box spans cells cx .. cx + wx by cy .. cy + wy, counted
+    # from the lowest cell.  A connected polyline whose longest segment is one
+    # cell spans at most nseg cells each way, so the key
+    # cx * ny + cy stays below (nseg + 2)**2.
+    cx = np.floor(np.minimum(x[:-1], x[1:]) * inv).astype(np.int64)
+    cy = np.floor(np.minimum(y[:-1], y[1:]) * inv).astype(np.int64)
+    wx = np.floor(np.maximum(x[:-1], x[1:]) * inv).astype(np.int64) - cx
+    wy = np.floor(np.maximum(y[:-1], y[1:]) * inv).astype(np.int64) - cy
+    cx -= cx.min()
+    cy -= cy.min()
+    ny = int((cy + wy).max()) + 1
+    base = cx * ny + cy
 
-    # The rows of a cell are contiguous and sorted by segment, so its pairs
-    # sit at row distances 1, 2, ...; stop at the first distance with none.
-    keys = [np.empty(0, dtype=np.int64)]
+    # One row per touched cell.  A box spans about 2 x 2 cells, so the loops
+    # run over offsets, not segments.
+    key, seg = [], []
+    for ox in range(int(wx.max()) + 1):
+        for oy in range(int(wy.max()) + 1):
+            keep = np.flatnonzero((wx >= ox) & (wy >= oy))
+            key.append(base[keep] + (ox * ny + oy))
+            seg.append(keep)
+    key, seg = np.concatenate(key), np.concatenate(seg)
+    order = np.argsort(key)
+    key, seg = key[order], seg[order]
+    del order
+
+    # The rows of a cell are contiguous, so its pairs sit at row distances
+    # 1, 2, ...; stop at the first distance with none.
+    pairs = [np.empty(0, dtype=np.int64)]
     for d in range(1, len(seg)):
-        same = (cx[d:] == cx[:-d]) & (cy[d:] == cy[:-d])
+        same = key[d:] == key[:-d]
         if not same.any():
             break
-        i, j = seg[:-d][same], seg[d:][same]
-        keys.append((i * nseg + j)[j > i + 1])
+        a, b = seg[:-d][same], seg[d:][same]
+        i, j = np.minimum(a, b), np.maximum(a, b)
+        pairs.append((i * nseg + j)[j > i + 1])
 
-    for i, j in zip(*np.divmod(np.unique(np.concatenate(keys)), nseg)):
+    for i, j in zip(*np.divmod(np.unique(np.concatenate(pairs)), nseg)):
         hit = _segments_cross(
             ((x[i], y[i]), (x[i + 1], y[i + 1])),
             ((x[j], y[j]), (x[j + 1], y[j + 1])),

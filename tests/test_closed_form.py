@@ -135,6 +135,16 @@ class TestKickSpec:
             cf.KickSpec(**fields)
 
 
+class TestShellGaps:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("bound", ["r0", "a", "b"])
+    def test_non_finite_bound_refused(self, bound, value):
+        bounds = dict(r0=1.0, a=E, b=E**2)
+        bounds[bound] = value
+        with pytest.raises(InvalidShell):
+            cf.shell_gaps(0, **bounds)
+
+
 class TestLinearKickSolution:
     spec = cf.KickSpec(1.0, E, E**2, 2.0, 0)
 
@@ -189,6 +199,11 @@ class TestLinearKickSolution:
         with pytest.raises(DomainError):
             cf.log_kick_solution(spec, 1.0)
         assert cf.log_kick_solution(spec, 2.0) == 0.0
+
+    @pytest.mark.parametrize("r", [math.nan, [3.0, math.nan]], ids=["scalar", "array"])
+    def test_nan_radius_refused(self, r):
+        with pytest.raises(DomainError):
+            cf.log_kick_solution(cf.KickSpec(1.0, 2.0, 5.0, 2.0, 0), r)
 
     def test_log_form_reduces_to_linear_form_at_depth_zero(self):
         # the three k = 0 branches written out in r, as linear_kick_solution's

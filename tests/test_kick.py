@@ -112,6 +112,13 @@ class TestLambdaLog:
         with pytest.raises(InvalidShell):
             kick.lambda_log(1, 0.9, 2.0, 4.0)
 
+    @pytest.mark.parametrize("k, r0, a", [(0, 1.0, 2.0), (1, 2.0, 3.0)])
+    def test_infinite_outer_radius_refused(self, k, r0, a):
+        with pytest.raises(InvalidShell):
+            kick.lambda_log(k, r0, a, math.inf)
+        with pytest.raises(InvalidShell):
+            kick.threshold_residual(0.0, k, r0, a, math.inf)
+
 
 class TestDiameterBound:
     def test_base_shell_value(self):

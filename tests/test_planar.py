@@ -61,6 +61,22 @@ def self_intersects_reference(curve: pl.PlanarCurve) -> Optional[tuple]:
     return None
 
 
+def parabola_x_of_s_reference(k: float, s):
+    """The Newton loop that planar.parabola_x_of_s replaced, which computed
+    the square root twice per pass, kept as the reference its result must
+    equal exactly."""
+    s = np.asarray(s, dtype=float)
+    x = np.minimum(s, np.sqrt(s / k))
+    for _ in range(100):
+        g = pl.parabola_arclength(k, x) - s
+        slope = np.sqrt(1.0 + 4.0 * k * k * x * x)
+        dx = g / slope
+        x = np.maximum(x - dx, 0.0)
+        if np.max(np.abs(g)) <= 1e-13 * (1.0 + np.max(s)):
+            break
+    return x if x.ndim else float(x)
+
+
 def polyline(points) -> pl.PlanarCurve:
     pts = np.asarray(points, dtype=float)
     x, y = pts[:, 0], pts[:, 1]
@@ -152,6 +168,17 @@ class TestParabolaCurvature:
             s = pl.parabola_arclength(k, xs)
             assert_allclose(pl.parabola_x_of_s(k, s), xs, rtol=1e-12, atol=1e-12)
 
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(k=st.floats(1e-2, 1e3),
+           s=st.one_of(st.floats(0.0, 1e6),
+                       st.lists(st.floats(0.0, 1e6), min_size=1, max_size=50)))
+    def test_matches_reference_loop(self, k, s):
+        if isinstance(s, list):
+            s = np.array([0.0] + s)
+        got, want = pl.parabola_x_of_s(k, s), parabola_x_of_s_reference(k, s)
+        assert type(got) is type(want)
+        assert np.array_equal(got, want)
+
 
 class TestSelfIntersects:
     @settings(max_examples=1500, deadline=None, derandomize=True, database=None)
@@ -159,6 +186,22 @@ class TestSelfIntersects:
     def test_matches_reference_hash(self, points):
         c = polyline(points)
         assert pl.self_intersects(c) == self_intersects_reference(c)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(k=st.floats(5.0, 40.0), t=st.floats(-0.3, 0.3),
+           window=st.floats(5.0, 15.0), step=st.floats(0.005, 0.01))
+    def test_kicked_parabola_matches_reference_hash(self, k, t, window, step):
+        # 1,000-6,000 segments; the window is short enough that small kicks
+        # stay embedded and large ones cross.
+        c = pl.reconstruct(lambda s: pl.parabola_curvature(k, np.abs(s)) + t * pl.mollifier_bump(s),
+                           (-window, window), step)
+        assert pl.self_intersects(c) == self_intersects_reference(c)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_vertex_is_refused(self, bad):
+        c = polyline([(0.0, 0.0), (1.0, 0.0), (bad, 1.0), (2.0, 1.0), (0.5, -1.0)])
+        with pytest.raises(DomainError):
+            pl.self_intersects(c)
 
     def test_segment_has_none(self):
         c = pl.reconstruct(lambda s: 0.0 * np.asarray(s), (0.0, 3.0), 0.01)
