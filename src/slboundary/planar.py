@@ -212,13 +212,14 @@ def self_intersects(curve: PlanarCurve) -> Optional[tuple]:
     # Each segment's box spans cells cx .. cx + wx by cy .. cy + wy, counted
     # from the lowest cell.  A connected polyline whose longest segment is one
     # cell spans at most nseg cells each way, so the key
-    # cx * ny + cy stays below (nseg + 2)**2.
-    cx = np.floor(np.minimum(x[:-1], x[1:]) * inv).astype(np.int64)
-    cy = np.floor(np.minimum(y[:-1], y[1:]) * inv).astype(np.int64)
-    wx = np.floor(np.maximum(x[:-1], x[1:]) * inv).astype(np.int64) - cx
-    wy = np.floor(np.maximum(y[:-1], y[1:]) * inv).astype(np.int64) - cy
-    cx -= cx.min()
-    cy -= cy.min()
+    # cx * ny + cy stays below (nseg + 2)**2.  Coordinates are measured from
+    # the lowest vertex before they are scaled, so the cell indices fit int64
+    # however far from the origin the polyline lies.
+    x0, y0 = x.min(), y.min()
+    cx = np.floor((np.minimum(x[:-1], x[1:]) - x0) * inv).astype(np.int64)
+    cy = np.floor((np.minimum(y[:-1], y[1:]) - y0) * inv).astype(np.int64)
+    wx = np.floor((np.maximum(x[:-1], x[1:]) - x0) * inv).astype(np.int64) - cx
+    wy = np.floor((np.maximum(y[:-1], y[1:]) - y0) * inv).astype(np.int64) - cy
     ny = int((cy + wy).max()) + 1
     base = cx * ny + cy
 

@@ -13,6 +13,12 @@ Stored trajectories carry a refined grid on which the midpoint Hermite
 reconstruction satisfies the ODE-residual bound
 |w'' + b w| <= tol * (|b w| + 1); zeros and extrema are bracketed on that
 grid and polished on the dense interpolant.
+
+integrate_sl is a pure function of the profile and its start data, so a
+profile keeps its last solve: a second call with the same profile object
+and the same (r_start, w0, w0p, r_end, tol) returns the same read-only
+trajectory without solving again.  This is what lets classify,
+abresch_checks and a caller's own integrate_sl share one solve.
 """
 
 from __future__ import annotations
@@ -46,12 +52,18 @@ class CurvatureProfile:
     side, profile(r)) or a float array (values); coefficient_func builds one
     from a scalar and a vector kernel.  breakpoints lists interior radii
     where the coefficient is allowed to jump (the integrator splits there).
+
+    integrate_sl keeps the profile's last trajectory, keyed on its start
+    data, in _solves; that relies on func being deterministic.  The memo
+    takes no part in equality, hash or repr, and dataclasses.replace
+    starts the copy with an empty one.
     """
 
     func: Callable[[float], float]
     r_min: float = 0.0
     label: str = ""
     breakpoints: tuple = ()
+    _solves: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __call__(self, r: float) -> float:
         return float(self.func(r))
@@ -221,12 +233,14 @@ class _PiecewiseDense:
         return w, wp
 
 
-@dataclass
+@dataclass(frozen=True)
 class SLTrajectory:
     """Dense numerical solution of w'' + b(r) w = 0 with recorded events.
 
     grid/w/wp hold the refined output grid; zeros and extrema are the
-    polished event radii, strictly inside (r_start, r_end].
+    polished event radii, strictly inside (r_start, r_end].  A trajectory
+    returned by integrate_sl may be shared by every caller that asks for
+    the same solve, so it is frozen and those five arrays are read-only.
     """
 
     profile: CurvatureProfile
@@ -510,24 +524,30 @@ def _refine_grid(profile, dense, r_nodes, tol, rtol_solver, scales, max_depth=12
 
 
 def _polish_zeros(fun, grid, vals, tol, lo_open):
-    """Bracketed sign changes of vals refined on fun; skips the open left end."""
-    out = []
+    """Bracketed sign changes of vals refined on fun; skips the open left end.
+
+    An interval [i, i + 1] counts when vals[i] != 0 and either
+    vals[i + 1] == 0 (that node is the event) or the two lie on different
+    sides of 0, with NaN counted as not positive.  With lo_open the
+    leading |vals| < 1e-300 are skipped.
+    """
+    vals = np.asarray(vals)
     start = 0
     if lo_open:
-        while start < len(vals) and abs(vals[start]) < _TINY_SIGN:
-            start += 1
-    for i in range(start, len(vals) - 1):
-        a, b = vals[i], vals[i + 1]
-        if a == 0.0:
-            continue
-        if b == 0.0:
+        tiny = np.abs(vals) < _TINY_SIGN
+        start = len(vals) if tiny.all() else int(np.argmin(tiny))
+    a, b = vals[start:-1], vals[start + 1:]
+    pos = vals[start:] > 0
+    hits = np.flatnonzero((a != 0.0) & ((b == 0.0) | (pos[:-1] != pos[1:]))) + start
+    out = []
+    for i in hits.tolist():
+        if vals[i + 1] == 0.0:
             out.append(grid[i + 1])
             continue
-        if (a > 0) != (b > 0):
-            xtol = 0.25 * tol * max(1.0, grid[i + 1])
-            out.append(
-                brentq(fun, grid[i], grid[i + 1], xtol=xtol, rtol=4 * np.finfo(float).eps)
-            )
+        xtol = 0.25 * tol * max(1.0, grid[i + 1])
+        out.append(
+            brentq(fun, grid[i], grid[i + 1], xtol=xtol, rtol=4 * np.finfo(float).eps)
+        )
     return np.asarray(out)
 
 
@@ -545,6 +565,11 @@ def integrate_sl(
     grid's ODE-residual bound; zeros are located to |dr| <= tol * max(1, r).
     The profile is split at its interior breakpoints so coefficient jumps
     never sit inside a solver step.
+
+    The arguments are taken as floats.  The profile keeps the trajectory of
+    its last solve: the same arguments again, compared exactly and sign
+    included, return that trajectory; any other arguments solve and replace
+    it.  A solve that raises leaves the memo as it was.
     """
     if not r_start < r_end:
         raise DomainMismatch(f"need r_start < r_end, got [{r_start}, {r_end}]")
@@ -554,6 +579,11 @@ def integrate_sl(
         raise DomainMismatch(
             f"profile {profile.label!r} starts at r_min = {profile.r_min} > {r_start}"
         )
+    r_start, w0, w0p, r_end, tol = map(float, (r_start, w0, w0p, r_end, tol))
+    key = tuple(v.hex() for v in (r_start, w0, w0p, r_end, tol))  # -0.0 != 0.0
+    memo = profile._solves
+    if key in memo:
+        return memo[key]
 
     cuts = [r_start]
     cuts += [b for b in sorted(set(profile.breakpoints)) if r_start < b < r_end]
@@ -562,7 +592,7 @@ def integrate_sl(
 
     pieces = []
     grids = []
-    y = (float(w0), float(w0p))
+    y = (w0, w0p)
     scales = (abs(w0), abs(w0p))
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         piece = _solve_piece(profile, lo, hi, y, rtol, atol)
@@ -577,19 +607,24 @@ def integrate_sl(
 
     zeros = _polish_zeros(lambda r: dense(r)[0], grid, w, tol, lo_open=(w0 == 0.0))
     extrema = _polish_zeros(lambda r: dense(r)[1], grid, wp, tol, lo_open=(w0p == 0.0))
+    for arr in (grid, w, wp, zeros, extrema):
+        arr.setflags(write=False)
 
-    return SLTrajectory(
+    traj = SLTrajectory(
         profile=profile,
         grid=grid,
         w=w,
         wp=wp,
         zeros=zeros,
         extrema=extrema,
-        r_start=float(r_start),
-        r_end=float(r_end),
-        tol=float(tol),
+        r_start=r_start,
+        r_end=r_end,
+        tol=tol,
         dense=dense,
     )
+    memo.clear()
+    memo[key] = traj
+    return traj
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from numpy.testing import assert_allclose
 
-from slboundary import cli, planar
+from slboundary import cli, planar, sl_engine
 from slboundary.cli import MAX_T_POINTS, _emit, _parse_t_range, main
 from slboundary.schema import validate_certificate
 
@@ -113,6 +113,22 @@ class TestBifurcateCommand:
         assert_allclose(doc["spec"]["w_limit"], 1.5707963268, rtol=1e-9)
         assert doc["spec"]["moment_tail_ratio"] < 0.5
         assert doc["spec"]["independent_diverges"] is True
+
+    def test_abresch_report_solves_once(self, capsys, monkeypatch):
+        # classify and abresch_checks ask for the same solve of the same profile
+        solves = []
+        solve = sl_engine._solve_piece
+
+        def counting(*args):
+            solves.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(sl_engine, "_solve_piece", counting)
+        code = main(["bifurcate", "--profile", "arctan-bifurcator", "--r-max", "1e4",
+                     "--abresch", "--json", "--no-meta"])
+        assert code == 0 and len(solves) == 1
+        golden = Path(__file__).resolve().parents[1] / "bench" / "golden" / "bifurcate.json"
+        assert capsys.readouterr().out == golden.read_text()
 
 
 class TestSurfaceCommand:

@@ -231,6 +231,24 @@ class TestSelfIntersects:
         hit = pl.self_intersects(c)
         assert hit is not None
 
+    @pytest.mark.parametrize("offset", [1e30, -1e30, 2.0**100])
+    def test_far_from_origin(self, offset):
+        # x / cell ~ 1e30 does not fit int64; the answer is the one at x = 0
+        # (every difference of x is exactly 0, so s and the crossing agree).
+        # A RuntimeWarning from the cast would fail here as an error.
+        ys = [0.0, 3.0, 1.0, 4.0, 2.0, -1.0]
+        far = polyline([(offset, y) for y in ys])
+        near = polyline([(0.0, y) for y in ys])
+        hit = pl.self_intersects(far)
+        assert hit is not None and hit == self_intersects_reference(near)
+        assert pl.self_intersects(polyline([(offset, y) for y in range(30)])) is None
+
+    def test_scaled_shifted_grid(self):
+        # an integer-grid crossing scaled by 2**50 and shifted by 2**100 is exact
+        pts = [(0, 0), (3, 0), (3, 2), (1, 2), (1, -1), (2, -1), (2, 3)]
+        c = polyline([(x * 2.0**50 + 2.0**100, y * 2.0**50 + 2.0**100) for x, y in pts])
+        assert pl.self_intersects(c) == self_intersects_reference(c) is not None
+
 
 class TestKickFamilyTransition:
     def test_single_crossing_bracketed_at_zero(self):

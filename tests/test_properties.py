@@ -9,7 +9,8 @@ scipy's stepping, so solve_ivp(method="DOP853", dense_output=True) is its
 reference: the same nodes, end state, per-segment interpolation data and
 typed errors, bit for bit, and the stacked evaluator against
 OdeSolution.__call__.  A scipy release that changes its stepping fails
-here, not in a certificate.
+here, not in a certificate.  The bracket scan of _polish_zeros must make
+the brentq calls of the node-by-node loop it replaced, in the same order.
 
 The closed-form second zero must match a bracket-and-brentq scan of the
 kicked solution at depths 0-2, equal the old depth-0 formula bit for bit
@@ -33,8 +34,8 @@ from slboundary import kick
 from slboundary import surfaces as sf
 from slboundary.bifurcator import arctan_profile
 from slboundary.errors import DomainError, NoSecondZero, NonFiniteCoefficient, StepUnderflow
-from slboundary.sl_engine import (CurvatureProfile, _checked_rhs, _solve_piece,
-                                  _solver_tolerances, integrate_sl)
+from slboundary.sl_engine import (_TINY_SIGN, CurvatureProfile, _checked_rhs, _polish_zeros,
+                                  _solve_piece, _solver_tolerances, integrate_sl)
 
 PROPS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -340,6 +341,66 @@ class TestStackedDense:
             assert np.array_equal(w, want[0]) and np.array_equal(wp, want[1])
             assert [stacked.at(x) for x in sol.ts.tolist()] == list(zip(w, wp))
             assert same_bits(stacked.ts, sol.ts)
+
+
+def polish_zeros_reference(fun, grid, vals, tol, lo_open):
+    """The node-by-node scan that _polish_zeros replaced, kept as its reference."""
+    out = []
+    start = 0
+    if lo_open:
+        while start < len(vals) and abs(vals[start]) < _TINY_SIGN:
+            start += 1
+    for i in range(start, len(vals) - 1):
+        a, b = vals[i], vals[i + 1]
+        if a == 0.0:
+            continue
+        if b == 0.0:
+            out.append(grid[i + 1])
+            continue
+        if (a > 0) != (b > 0):
+            xtol = 0.25 * tol * max(1.0, grid[i + 1])
+            out.append(
+                brentq(fun, grid[i], grid[i + 1], xtol=xtol, rtol=4 * np.finfo(float).eps)
+            )
+    return np.asarray(out)
+
+
+# Signed zeros, values on both sides of the 1e-300 cut, NaN and plain signs.
+NODE_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e-301, -1e-301, 1e-300, -1e-300, math.nan]),
+    st.floats(-10.0, 10.0),
+)
+
+
+class TestPolishZeros:
+    @PROPS
+    @given(st.lists(NODE_VALUES, min_size=2, max_size=40),
+           st.lists(st.floats(1e-3, 5.0), min_size=40, max_size=40),
+           st.booleans(), st.sampled_from([1e-9, 1e-6]))
+    def test_same_brentq_calls_as_loop(self, vals, steps, lo_open, tol):
+        vals = np.array(vals)
+        grid = np.concatenate([[0.0], np.cumsum(steps[:len(vals) - 1])])
+
+        def outcome(polish):
+            calls = []
+
+            def fun(r):
+                calls.append(r)
+                return float(np.interp(r, grid, vals))
+
+            try:
+                got = polish(fun, grid, vals, tol, lo_open)
+            except (ValueError, RuntimeError) as exc:  # brentq on a NaN bracket
+                got = (type(exc), str(exc))
+            return got, calls
+
+        got, calls = outcome(_polish_zeros)
+        want, want_calls = outcome(polish_zeros_reference)
+        assert calls == want_calls
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert got.tobytes() == want.tobytes()
 
 
 def second_zero_k0_reference(mu, a, b):

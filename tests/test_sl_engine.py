@@ -1,7 +1,8 @@
 """Integration engine: trivial coefficients, the arctan oracle, event
-detection, the stored-grid residual certificate, the index form, and the
-Picone comparison residual."""
+detection, the stored-grid residual certificate, the index form, the
+Picone comparison residual, and the per-profile memo of the last solve."""
 
+import dataclasses
 import math
 import re
 
@@ -10,7 +11,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from slboundary import closed_form as cf
-from slboundary import kick
+from slboundary import kick, sl_engine
 from slboundary.bifurcator import arctan_profile
 from slboundary.errors import DomainError, DomainMismatch, NonFiniteCoefficient, YVanished
 from slboundary.sl_engine import (
@@ -135,6 +136,88 @@ class TestIntegrate:
             integrate_sl(const_profile(1.0), 3.0, 0.0, 1.0, 2.0, 1e-9)
         with pytest.raises(DomainMismatch):
             integrate_sl(const_profile(1.0), 0.0, 0.0, 1.0, 2.0, 1e-2)
+
+
+class TestSolveMemo:
+    BASE = (0.0, 0.0, 1.0, 10.0, 1e-9)  # (r_start, w0, w0p, r_end, tol)
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        """The list of _solve_piece calls made from now on."""
+        calls = []
+        solve = sl_engine._solve_piece
+
+        def counting(*args):
+            calls.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(sl_engine, "_solve_piece", counting)
+        return calls
+
+    @staticmethod
+    def same_bits(a, b):
+        return all(np.asarray(getattr(a, f)).tobytes() == np.asarray(getattr(b, f)).tobytes()
+                   for f in ("grid", "w", "wp", "zeros", "extrema", "r_start", "r_end", "tol"))
+
+    def test_same_arguments_share_one_solve(self, solves):
+        prof = const_profile(1.0)
+        first = integrate_sl(prof, *self.BASE)
+        assert integrate_sl(prof, *self.BASE) is first
+        assert integrate_sl(prof, 0, 0, 1, 10, 1e-9) is first  # the same floats
+        assert len(solves) == 1
+
+    @pytest.mark.parametrize("i, value", [(0, 0.5), (1, 0.25), (2, 2.0), (3, 8.0),
+                                          (4, 1e-8), (0, -0.0), (1, -0.0)])
+    def test_changed_argument_solves_again(self, solves, i, value):
+        prof = const_profile(1.0)
+        base = integrate_sl(prof, *self.BASE)
+        args = list(self.BASE)
+        args[i] = value
+        got = integrate_sl(prof, *args)
+        assert got is not base and len(solves) == 2
+        fresh = CurvatureProfile(func=prof.func, r_min=prof.r_min, label=prof.label,
+                                 breakpoints=prof.breakpoints)
+        assert self.same_bits(got, integrate_sl(fresh, *args))
+
+    def test_replaced_profile_solves_again(self, solves):
+        prof = const_profile(1.0)
+        first = integrate_sl(prof, *self.BASE)
+        copy = dataclasses.replace(prof)
+        assert copy._solves == {}
+        again = integrate_sl(copy, *self.BASE)
+        assert again is not first and len(solves) == 2
+        assert self.same_bits(again, first)
+
+    def test_failed_solve_raises_every_time(self, solves):
+        with np.errstate(invalid="ignore"):
+            bad = CurvatureProfile(func=lambda r: float(np.sqrt(5.0 - r)), label="nan-tail")
+            for _ in range(2):
+                with pytest.raises(NonFiniteCoefficient):
+                    integrate_sl(bad, 0.0, 0.0, 1.0, 6.0, 1e-9)
+        assert len(solves) == 2 and bad._solves == {}
+
+    def test_trajectory_is_read_only(self):
+        traj = integrate_sl(const_profile(1.0), *self.BASE)
+        for name in ("grid", "w", "wp", "zeros", "extrema"):
+            with pytest.raises(ValueError):
+                getattr(traj, name)[0] = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            traj.w = np.zeros(3)
+
+    def test_memo_keeps_one_trajectory(self):
+        prof = const_profile(1.0)
+        for r_end in (4.0, 6.0, 8.0):
+            last = integrate_sl(prof, 0.0, 0.0, 1.0, r_end, 1e-9)
+            (kept,) = prof._solves.values()
+            assert kept is last
+
+    def test_memo_leaves_equality_hash_and_repr(self):
+        func = const_profile(1.0).func
+        a = CurvatureProfile(func=func, label="c")
+        b = CurvatureProfile(func=func, label="c")
+        integrate_sl(a, *self.BASE)
+        assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+        assert "_solves" not in repr(a)
 
 
 class TestDenseOutput:
