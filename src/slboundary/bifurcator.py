@@ -25,6 +25,10 @@ CLASS_SECOND_ZERO = "NotBifurcator(SecondZero)"
 CLASS_NON_MONOTONE = "NotBifurcator(NonMonotone)"
 CLASS_UNBOUNDED = "NotBifurcator(Unbounded)"
 CLASS_INCONCLUSIVE = "Inconclusive"
+#: classify: growth of w past this value, with the slope not collapsing, is Unbounded.
+UNBOUNDED_CAP = 1e6
+#: classify: the dyadic Cauchy tail must fall below this fraction of w(r_max).
+TAIL_TOL_REL = 1e-4
 
 
 def arctan_profile() -> CurvatureProfile:
@@ -82,22 +86,20 @@ def classify(
     b: CurvatureProfile,
     r_max: float = 1e4,
     tol: float = 1e-9,
-    unbounded_cap: float = 1e6,
-    tail_tol_rel: float = 1e-4,
 ) -> BifurcatorReport:
     """Integrate w'' + b w = 0, w(0) = 0, w'(0) = 1 and classify the profile.
 
     A zero beyond the start or a sign change of w' refutes the monotone
-    bounded property outright; growth past unbounded_cap with the slope not
+    bounded property outright; growth past UNBOUNDED_CAP with the slope not
     collapsing reports Unbounded.  Monotone solutions whose dyadic Cauchy
-    tail w(R) - w(R/2) falls below tail_tol_rel * w(R) are called Bifurcator;
+    tail w(R) - w(R/2) falls below TAIL_TOL_REL * w(R) are called Bifurcator;
     anything else is Inconclusive.  The solve starts at origin_start(b).
     """
     traj = integrate_sl(b, *origin_start(b), r_max, tol)
 
     w_end = float(traj.w[-1])
     wp_end = float(traj.wp[-1])
-    tail_tol = tail_tol_rel * abs(w_end)
+    tail_tol = TAIL_TOL_REL * abs(w_end)
     wm, _ = traj.evaluate(r_max / 2.0)
     cauchy = w_end - float(wm)
     w_limit = w_end + r_max * wp_end
@@ -120,10 +122,10 @@ def classify(
         return report(
             CLASS_NON_MONOTONE, f"w' changed sign at r = {traj.extrema[0]:.9g}"
         )
-    if np.max(traj.w) > unbounded_cap and wp_end > unbounded_cap / (10.0 * r_max):
+    if np.max(traj.w) > UNBOUNDED_CAP and wp_end > UNBOUNDED_CAP / (10.0 * r_max):
         return report(
             CLASS_UNBOUNDED,
-            f"w exceeded {unbounded_cap:g} with slope {wp_end:.3g} at r_max",
+            f"w exceeded {UNBOUNDED_CAP:g} with slope {wp_end:.3g} at r_max",
         )
     if cauchy <= tail_tol:
         return report(CLASS_BIFURCATOR, "monotone; dyadic Cauchy tail below tolerance",

@@ -9,10 +9,10 @@ states and dense output are bit-identical to solve_ivp(method="DOP853",
 dense_output=True) while each step costs less; it writes every accepted
 step's interpolation data straight into the stacked dense output.
 
-Stored trajectories carry a refined grid on which the midpoint Hermite
-reconstruction satisfies the ODE-residual bound
-|w'' + b w| <= tol * (|b w| + 1); zeros and extrema are bracketed on that
-grid and polished on the dense interpolant.
+The dense output is the trajectory's one interpolant.  Its grid is the
+accepted solver nodes; zeros and extrema are bracketed on that grid and
+polished on the dense output, and residual_report() measures the ODE
+defect |w'' + b w| / (tol * (|b w| + 1)) of the dense output itself.
 
 integrate_sl is a pure function of the profile and its start data, so a
 profile keeps its last solve: a second call with the same profile object
@@ -40,6 +40,8 @@ _TINY_SIGN = 1e-300
 ORIGIN_EPS = 1e-6
 #: Relative slack of dominates(), taken on the smaller of the two magnitudes.
 DOMINANCE_RTOL = 1e-12
+#: Simpson panels per breakpoint segment in picone_residual.
+PICONE_PANELS = 1200
 # scipy's step-size controller constants (scipy/integrate/_ivp/rk.py)
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
 
@@ -237,10 +239,11 @@ class _PiecewiseDense:
 class SLTrajectory:
     """Dense numerical solution of w'' + b(r) w = 0 with recorded events.
 
-    grid/w/wp hold the refined output grid; zeros and extrema are the
-    polished event radii, strictly inside (r_start, r_end].  A trajectory
-    returned by integrate_sl may be shared by every caller that asks for
-    the same solve, so it is frozen and those five arrays are read-only.
+    grid/w/wp hold the accepted solver nodes and the dense output there;
+    zeros and extrema are the polished event radii, strictly inside
+    (r_start, r_end].  A trajectory returned by integrate_sl may be shared
+    by every caller that asks for the same solve, so it is frozen and those
+    five arrays are read-only.
     """
 
     profile: CurvatureProfile
@@ -270,17 +273,26 @@ class SLTrajectory:
         }
 
     def residual_report(self) -> float:
-        """Max over grid midpoints of |w'' + b w| / (tol * (|b w| + 1)).
+        """Max of |d(w')/dr + b w| / (tol * (|b w| + 1)) on the dense output.
 
-        The midpoint state is reconstructed by two-point quintic Hermite
-        interpolation of the stored nodes, using w'' = -b w at the nodes
-        (the only second derivative consistent with the stored data); the
-        defect of that reconstruction against the ODE is the residual.
+        This measures the interpolant that zeros, extrema and evaluate read:
+        at the 8 Gauss-Legendre points inside every accepted step that
+        overlaps [r_start, r_end], with d(w')/dr from the derivative of the
+        dense output's own polynomial.  A step too narrow for float data to
+        resolve that derivative is exempt.  With m the larger of |w| and
+        |w'| at its two ends, a step of width h is exempt when
+        64 eps m / h > tol; the last step of a piece that ends on an
+        interior breakpoint, and the first step of the next piece, are also
+        exempt when h < 9 rtol m / (0.7 tol), the solver's rtol floor.
+        0.0 when every step is exempt.
         """
-        res, _, _ = _hermite_defect(
-            self.profile, self.grid, self.w, self.wp, self.tol
+        pieces = self.dense.pieces
+        cut = 9.0 * _solver_rtol(self.tol) / (0.7 * self.tol)
+        return max(
+            _dense_defect(self.profile, piece, self.tol, self.r_start, self.r_end,
+                          cut if i > 0 else 0.0, cut if i < len(pieces) - 1 else 0.0)
+            for i, (_, _, piece) in enumerate(pieces)
         )
-        return float(res.max())
 
     def restricted(self, r_lo: float, r_hi: float) -> "SLTrajectory":
         """The same trajectory cut down to [r_lo, r_hi] (endpoints included exactly)."""
@@ -320,10 +332,14 @@ def _checked_rhs(profile: CurvatureProfile):
     return rhs
 
 
+def _solver_rtol(tol) -> float:
+    return max(1e-3 * tol, 2.5e-14)
+
+
 def _solver_tolerances(tol, r_start, r_end, w0, w0p) -> tuple[float, float]:
     """(rtol, atol) of every DOP853 piece of integrate_sl."""
     scale = max(abs(w0), abs(w0p) * min(1.0, r_end - r_start), 1e-8)
-    return max(1e-3 * tol, 2.5e-14), max(1e-11 * tol * scale, 1e-280)
+    return _solver_rtol(tol), max(1e-11 * tol * scale, 1e-280)
 
 
 def _norm_2(x) -> float:
@@ -429,98 +445,44 @@ def _solve_piece(profile, r_lo, r_hi, y0, rtol, atol) -> _StackedDop853:
     return _StackedDop853(ts, y_olds, F, (w, wp), rejected, nfev)
 
 
-def _hermite_defect(profile, grid, w, wp, tol):
-    """Normalised quintic-Hermite midpoint defect per interval, and midpoints.
-
-    With nodal data (w, w') and the ODE-implied w'' = -b w, the midpoint
-    reconstruction is
-
-        w_m   = (w0+w1)/2 + 5h(w0'-w1')/32 + h^2(w0''+w1'')/64
-        w''_m = 3(w1'-w0')/(2h) - (w0''+w1'')/4
-
-    and the defect |w''_m + b(r_m) w_m| is O(h^4) for consistent data.
-    Nodal b is sampled a few ulps inside each interval so that coefficient
-    jumps at breakpoints land on the correct side.
-    """
-    r0, r1 = grid[:-1], grid[1:]
-    h = r1 - r0
-    rm = 0.5 * (r0 + r1)
-    nudge = np.maximum(1e-9 * h, 4.0 * np.spacing(np.abs(r1)))
-    s0 = -profile.values(r0 + nudge) * w[:-1]
-    s1 = -profile.values(r1 - nudge) * w[1:]
-    wm = (
-        0.5 * (w[:-1] + w[1:])
-        + h * (wp[:-1] - wp[1:]) * (5.0 / 32.0)
-        + h * h * (s0 + s1) / 64.0
-    )
-    wppm = 1.5 * (wp[1:] - wp[:-1]) / h - 0.25 * (s0 + s1)
-    bm = profile.values(rm)
-    denom = np.abs(bm * wm) + 1.0
-    res = np.abs(wppm + bm * wm) / (tol * denom)
-    return res, rm, denom
-
-
 _EPS = float(np.finfo(float).eps)
+#: 8-point Gauss-Legendre nodes on [0, 1]
+_GAUSS_X = 0.5 * (1.0 + np.polynomial.legendre.leggauss(8)[0])
 
 
-def _running_floor(w, wp, tol, rtol_solver, scales):
-    """Per-node certifiable resolution floor.
+def _dense_defect(profile, piece, tol, r_lo, r_hi, floor_first, floor_last) -> float:
+    """Max normalised ODE defect of one piece's dense output (residual_report).
 
-    The difference quotient amplifies both the interpolant error
-    (~rtol_solver * running max|w|: errors accumulate forward and do not
-    shrink where the solution later passes near zero) and the float
-    representation error (~eps * running max|w'|) by 1/h; below this floor
-    refinement only adds noise.
+    Measures the steps that overlap [r_lo, r_hi] and are not exempt; the
+    first and last step are also exempt below floor_first and floor_last
+    times m.  The derivative runs alongside _StackedDop853's recurrence:
+    y <- (y + f) g and dy <- dy g +- (y + f), with g = x or 1 - x.
     """
-    runw = np.maximum.accumulate(np.maximum(np.abs(w), scales[0]))
-    runwp = np.maximum.accumulate(np.maximum(np.abs(wp), scales[1]))
-    return 9.0 * (rtol_solver * runw + _EPS * runwp) / (0.7 * tol)
-
-
-def _thin_nodes(nodes, floor):
-    """Drop solver nodes packed tighter than the certifiable resolution
-    (DOP853's startup ramp produces nanometer steps near the start)."""
-    keep = [0]
-    for i in range(1, len(nodes) - 1):
-        if (nodes[i] - nodes[keep[-1]] >= floor[i]
-                and nodes[-1] - nodes[i] >= floor[i]):
-            keep.append(i)
-    keep.append(len(nodes) - 1)
-    return nodes[np.asarray(keep)]
-
-
-def _refine_grid(profile, dense, r_nodes, tol, rtol_solver, scales, max_depth=12):
-    """Bisect intervals until the Hermite-midpoint defect meets the bound.
-
-    scales = (max|w|, max|w'|) carried in from earlier pieces; intervals at
-    their local noise floor are left alone, and the loop exits when the
-    worst refinable defect stops improving.
-    """
-    nodes = np.asarray(r_nodes, dtype=float)
-    w, wp = dense(nodes)
-    floor = _running_floor(w, wp, tol, rtol_solver, scales)
-    grid = _thin_nodes(nodes, floor)
-    prev_worst = math.inf
-    for _ in range(max_depth):
-        w, wp = dense(grid)
-        res, rm, denom = _hermite_defect(profile, grid, w, wp, tol)
-        h = np.diff(grid)
-        floor = _running_floor(w, wp, tol, rtol_solver, scales)
-        f_iv = np.maximum(floor[:-1], floor[1:])
-        # The defect bound scales with (1 + |b w|), so intervals with a large
-        # local bound tolerate proportionally finer grids before noise wins.
-        refinable = h > np.maximum(2.0 * f_iv / denom, 64.0 * np.spacing(rm))
-        bad = (res > 0.7) & refinable
-        if not np.any(bad):
-            break
-        worst = float(res[refinable].max())
-        if worst >= 0.8 * prev_worst:
-            break
-        prev_worst = worst
-        grid = np.sort(np.concatenate([grid, rm[bad]]))
-    wmax = max(scales[0], float(np.max(np.abs(w))))
-    wpmax = max(scales[1], float(np.max(np.abs(wp))))
-    return grid, (wmax, wpmax)
+    y0 = piece.y_old
+    y1 = np.vstack([y0[1:], piece.y_end])
+    m = np.maximum(np.abs(y0).max(axis=1), np.abs(y1).max(axis=1))
+    h = piece.h
+    keep = (piece.t_old < r_hi) & (piece.ts[1:] > r_lo) & (64.0 * _EPS * m <= tol * h)
+    keep[0] &= h[0] >= floor_first * m[0]
+    keep[-1] &= h[-1] >= floor_last * m[-1]
+    seg = np.flatnonzero(keep)
+    if not len(seg):
+        return 0.0
+    x = _GAUSS_X[:, None]
+    y = np.zeros((len(seg), len(x), 2))
+    dy = np.zeros_like(y)
+    for i, f in enumerate(piece.F):
+        y += f[seg][:, None, :]
+        if i % 2:
+            dy = dy * (1 - x) - y
+            y *= 1 - x
+        else:
+            dy = dy * x + y
+            y *= x
+    hs = h[seg][:, None]
+    w = y[..., 0] + y0[seg, :1]
+    bw = profile.values(piece.t_old[seg][:, None] + _GAUSS_X * hs) * w
+    return float((np.abs(dy[..., 1] / hs + bw) / (tol * (np.abs(bw) + 1.0))).max())
 
 
 def _polish_zeros(fun, grid, vals, tol, lo_open):
@@ -561,10 +523,12 @@ def integrate_sl(
 ) -> SLTrajectory:
     """Integrate w'' + b(r) w = 0 from (w0, w0p) at r_start out to r_end.
 
-    tol in [1e-13, 1e-3] controls both the solver tolerance and the stored
-    grid's ODE-residual bound; zeros are located to |dr| <= tol * max(1, r).
-    The profile is split at its interior breakpoints so coefficient jumps
-    never sit inside a solver step.
+    tol in [1e-13, 1e-3] sets the solver tolerances and the ODE-defect
+    bound that residual_report() checks; zeros are located to
+    |dr| <= tol * max(1, r).  The profile is split at its interior
+    breakpoints so coefficient jumps never sit inside a solver step.  The
+    stored grid is the accepted solver nodes of every piece; zeros and
+    extrema are bracketed on it and polished on the dense output.
 
     The arguments are taken as floats.  The profile keeps the trajectory of
     its last solve: the same arguments again, compared exactly and sign
@@ -591,18 +555,14 @@ def integrate_sl(
     rtol, atol = _solver_tolerances(tol, r_start, r_end, w0, w0p)
 
     pieces = []
-    grids = []
     y = (w0, w0p)
-    scales = (abs(w0), abs(w0p))
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         piece = _solve_piece(profile, lo, hi, y, rtol, atol)
-        grid, scales = _refine_grid(profile, piece, piece.ts, tol, rtol, scales)
         pieces.append((lo, hi, piece))
-        grids.append(grid)
         y = piece.y_end
 
     dense = _PiecewiseDense(pieces)
-    grid = np.unique(np.concatenate(grids))
+    grid = np.unique(np.concatenate([piece.ts for _, _, piece in pieces]))
     w, wp = dense(grid)
 
     zeros = _polish_zeros(lambda r: dense(r)[0], grid, w, tol, lo_open=(w0 == 0.0))
@@ -724,15 +684,15 @@ def picone_residual(
     c: CurvatureProfile,
     r_max: float,
     tol: float = 1e-9,
-    panels_per_segment: int = 1200,
 ) -> PiconeReport:
     """Check the comparison identity between the solutions of b and c (c >= b).
 
     Both solutions start from the same origin_start data, at the later of
     the two profiles' starts.
     I(r) accumulates int (c - b) w^2 plus int ((w' y - w y')/y)^2 by composite
-    Simpson, with panel edges pinned to the profiles' breakpoints so jumps in
-    c - b never sit inside a panel; the reported residual is the max over
+    Simpson, PICONE_PANELS panels per segment, with panel edges pinned to
+    the profiles' breakpoints so jumps in c - b never sit inside a panel;
+    the reported residual is the max over
     nodes of |y'/y - w'/w + I/w^2|.  Raises YVanished if y hits zero inside
     the window, which is the comparison theorem's conclusion, not a defect.
     """
@@ -754,7 +714,7 @@ def picone_residual(
     worst = (0.0, start)
     integral = 0.0
     for lo, hi in zip(edges[:-1], edges[1:]):
-        rs = np.linspace(lo, hi, 2 * panels_per_segment + 1)
+        rs = np.linspace(lo, hi, 2 * PICONE_PANELS + 1)
         w, wp = wtraj.evaluate(rs)
         yv, yp = ytraj.evaluate(rs)
         # Evaluate the coefficient difference a hair inside the segment so a

@@ -25,6 +25,9 @@ from scipy.interpolate import PchipInterpolator
 from .errors import DomainError
 from .sl_engine import CurvatureProfile, coefficient_func
 
+#: curvature_profile's knots per decade of geodesic radius while r <= 100.
+KNOTS_PER_DECADE = 400
+
 
 @dataclass(frozen=True)
 class SphericalCap:
@@ -182,11 +185,11 @@ def geodesic_radius(s: RevolutionSurface, rho: float) -> float:
     return _arc(s, 0.0, rho)
 
 
-def _profile_knots(s: RevolutionSurface, r_hi: float, per_decade: int) -> tuple:
+def _profile_knots(s: RevolutionSurface, r_hi: float) -> tuple:
     """(rho_j, r_j) knots whose geodesic radii cover (0, r_hi].
 
-    Knots are dense (per_decade) while r <= 100, where the Jacobi response
-    to curvature error is largest, and 4x sparser beyond.
+    Knots are dense (KNOTS_PER_DECADE) while r <= 100, where the Jacobi
+    response to curvature error is largest, and 4x sparser beyond.
     """
     if s.cap is not None:
         lo = s.cap.rho_c
@@ -202,7 +205,7 @@ def _profile_knots(s: RevolutionSurface, r_hi: float, per_decade: int) -> tuple:
     # variable), while never crossing more than 1% of the remaining gap to
     # the domain boundary in a single step.
     while rs[-1] < r_hi * 1.005:
-        dense = max(per_decade // 4, 25) if rs[-1] > 100.0 else per_decade
+        dense = max(KNOTS_PER_DECADE // 4, 25) if rs[-1] > 100.0 else KNOTS_PER_DECADE
         cur, r_cur = rhos[-1], rs[-1]
         zp = s.dz(cur)
         d_rho = r_cur * (10.0 ** (1.0 / dense) - 1.0) / math.sqrt(1.0 + zp * zp)
@@ -222,9 +225,7 @@ def _gauss_exact_vec(s: RevolutionSurface, rho: np.ndarray) -> np.ndarray:
     return zp * zpp / (rho * (1.0 + zp * zp) ** 2)
 
 
-def curvature_profile(
-    s: RevolutionSurface, r_grid, per_decade: int = 400
-) -> CurvatureProfile:
+def curvature_profile(s: RevolutionSurface, r_grid) -> CurvatureProfile:
     """Tabulate exact Gaussian curvature against geodesic radius.
 
     Returns a CurvatureProfile defined on [0, max(r_grid)]: constant cap
@@ -238,7 +239,7 @@ def curvature_profile(
     """
     r_grid = np.asarray(r_grid, dtype=float)
     r_hi = float(np.max(r_grid))
-    rhos, rs = _profile_knots(s, r_hi, per_decade)
+    rhos, rs = _profile_knots(s, r_hi)
     sup = s.rho_domain[1]
     finite = math.isfinite(sup)
     y = np.log(sup - rhos) if finite else np.log(rhos)

@@ -1,6 +1,7 @@
 """Integration engine: trivial coefficients, the arctan oracle, event
-detection, the stored-grid residual certificate, the index form, the
-Picone comparison residual, and the per-profile memo of the last solve."""
+detection, the dense-output defect certificate, Sturm spacing of the
+stored grid, the index form, the Picone comparison residual, and the
+per-profile memo of the last solve."""
 
 import dataclasses
 import math
@@ -12,6 +13,7 @@ from numpy.testing import assert_allclose
 
 from slboundary import closed_form as cf
 from slboundary import kick, sl_engine
+from slboundary import surfaces as sf
 from slboundary.bifurcator import arctan_profile
 from slboundary.errors import DomainError, DomainMismatch, NonFiniteCoefficient, YVanished
 from slboundary.sl_engine import (
@@ -88,6 +90,30 @@ class TestIntegrate:
                 traj = integrate_sl(prof, r0, w0, w0p, r1, tol)
                 assert traj.residual_report() <= 1.0, prof.label
 
+    def test_dense_defect_on_readme_shell(self):
+        # the certify shell at tol 1e-10; the Hermite midpoint defect read 1.40 here
+        spec = cf.KickSpec(1.0, E, E**2, 0.95, 0)
+        traj = integrate_sl(kick.kicked_profile(spec), 1.0, 0.0, 1.0, 1e6, 1e-10)
+        defect = traj.residual_report()
+        print(f"dense-output defect, README shell at tol 1e-10: {defect:.3g}")
+        assert defect <= 1.0
+
+    def test_defect_reads_the_dense_output(self):
+        traj = integrate_sl(const_profile(1.0), 0.0, 0.0, 1.0, 10.0, 1e-9)
+        piece = traj.dense.pieces[0][2]
+        assert traj.residual_report() <= 1.0
+        piece.F[:, piece.accepted // 2] *= 1.0 + 1e-6
+        assert traj.residual_report() > 1.0
+
+    def test_restricted_measures_overlapping_steps(self):
+        traj = integrate_sl(const_profile(1.0), 0.0, 0.0, 1.0, 10.0, 1e-9)
+        piece = traj.dense.pieces[0][2]
+        j = int(np.searchsorted(piece.t_old, 8.0))  # the step after r = 8
+        piece.F[:, j] *= 1.0 + 1e-6
+        assert traj.residual_report() > 1.0
+        assert traj.restricted(1.0, 7.0).residual_report() <= 1.0
+        assert traj.restricted(7.0, float(piece.ts[j]) + 1e-9).residual_report() > 1.0
+
     def test_zeros_match_dense_sign_changes(self):
         # profile with several zeros in range; no missed or spurious events
         prof = CurvatureProfile(func=lambda r: 1.0 + 0.5 * np.sin(np.asarray(r)),
@@ -136,6 +162,48 @@ class TestIntegrate:
             integrate_sl(const_profile(1.0), 3.0, 0.0, 1.0, 2.0, 1e-9)
         with pytest.raises(DomainMismatch):
             integrate_sl(const_profile(1.0), 0.0, 0.0, 1.0, 2.0, 1e-2)
+
+
+def _bumped_arctan():
+    ar = arctan_profile()
+
+    def func(r):
+        x = (np.asarray(r, dtype=float) - 2.0) / 0.5
+        inside = np.abs(x) < 1.0
+        t = np.where(inside, x, 0.0)
+        return ar.func(r) + 0.6 * np.where(inside, np.exp(-t * t / (1.0 - t * t)), 0.0)
+
+    return CurvatureProfile(func=func, label="arctan+bump")
+
+
+def _sturm_cases():
+    shells = [cf.KickSpec(1.0, E, E**2, 0.95, 0), cf.KickSpec(3.0, 9.0, 60.0, 2.0, 1),
+              cf.KickSpec(20.0, 60.0, 400.0, 30.0, 2)]
+    for spec in shells:
+        r1 = cf.second_zero_closed_form(spec)
+        yield spec.k, kick.kicked_profile(spec), (spec.r0, 0.0, 1.0), 2.0 * r1, 1e-9
+    yield "arctan", arctan_profile(), (0.0, 0.0, 1.0), 1e4, 1e-9
+    yield "bumped", _bumped_arctan(), (0.0, 0.0, 1.0), 1e3, 1e-9
+    for name, surf, r_max in (("cylinder", sf.capped_cylinder(), 2e3),
+                              ("paraboloid", sf.paraboloid(), 1.2e3)):
+        prof = sf.curvature_profile(surf, np.geomspace(0.1, 1.1 * r_max, 16))
+        yield name, prof, sl_engine.origin_start(prof), r_max, 1e-10
+
+
+class TestSturmSpacing:
+    def test_each_interval_holds_at_most_one_event(self):
+        # With 0 <= b <= B on an interval of length h, the scaled Pruefer
+        # angle rises by at most h sqrt(B); h sqrt(B) < pi leaves room for at
+        # most one zero of w and one of w', so grid sign changes count them.
+        for name, prof, start, r_end, tol in _sturm_cases():
+            g = integrate_sl(prof, *start, r_end, tol).grid
+            h = np.diff(g)
+            nudge = np.maximum(1e-9 * h, 4.0 * np.spacing(np.abs(g[1:])))
+            b = np.maximum.reduce([prof.values(g[:-1] + nudge), prof.values(g[:-1] + h / 2),
+                                   prof.values(g[1:] - nudge), np.zeros_like(h)])
+            spacing = float(np.max(h * np.sqrt(b)) / math.pi)
+            print(f"Sturm spacing {name}: max h sqrt(max b) / pi = {spacing:.3g}")
+            assert spacing < 1.0, name
 
 
 class TestSolveMemo:
