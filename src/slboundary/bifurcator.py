@@ -158,7 +158,8 @@ def abresch_checks(b: CurvatureProfile, r_max: float = 1e4, tol: float = 1e-9) -
         ratio of the last two dyadic blocks as the tail-convergence estimate;
     (b) w'(r_max) and the log-log slope of w' over the last decade;
     (c) the reduction-of-order solution v = w int dr / w^2 started past the
-        last breakpoint of b, reported divergent when |v| > 1e3 by r_max.
+        last breakpoint of b below r_max (and at r >= 1), reported
+        divergent when |v| > 1e3 by r_max.
     """
     lo = max(b.r_min, 0.0)
     blocks = [r_max / 8.0, r_max / 4.0, r_max / 2.0, r_max]
@@ -181,7 +182,7 @@ def abresch_checks(b: CurvatureProfile, r_max: float = 1e4, tol: float = 1e-9) -
     slope = float(np.polyfit(np.log(decade), np.log(np.clip(wps, 1e-300, None)), 1)[0])
 
     # Reduction of order on [r_s, r_max]: v = w * int dr / w^2, v' = w' I + 1/w.
-    r_s = max(start + 0.1, *(list(b.breakpoints) + [1.0]))
+    r_s = max(start + 0.1, 1.0, *(x for x in b.breakpoints if x < r_max))
     rs = np.geomspace(r_s, r_max, 4001)
     w, wp = traj.evaluate(rs)
     integrand = 1.0 / w**2

@@ -39,12 +39,13 @@ def superpower(k: int) -> float:
     """
     if k < 0:
         raise DomainError(f"superpower index must be >= 0, got {k}")
-    if k == 0:
-        return 0.0
+    x = 0.0
     try:
-        return math.exp(superpower(k - 1))
-    except OverflowError:
+        for _ in range(k):
+            x = math.exp(x)
+    except OverflowError:  # from k = 5 on
         return math.inf
+    return x
 
 
 def iter_log(k: int, r: float, require_positive: bool = False) -> float:
@@ -210,12 +211,21 @@ def shell_gaps(k: int, r0: float, a: float, b: float) -> tuple[float, float]:
 
     Each is the log of a ratio of k-fold logarithms, ln(a/r0) and ln(b/a)
     at k = 0, so a shell far from the origin keeps its digits.  Raises
-    InvalidShell on a non-finite r0, a or b.
+    InvalidShell on a non-finite r0, a or b, and on a shell that floats
+    cannot resolve: the k-fold log of r0 rounds to 0, the first gap
+    overflows, or the second is not a finite positive number.
     """
     if not (math.isfinite(r0) and math.isfinite(a) and math.isfinite(b)):
         raise InvalidShell(f"shell bounds must be finite, got r0={r0}, a={a}, b={b}")
     l0, la, lb = iter_log(k, r0), iter_log(k, a), iter_log(k, b)
-    return math.log(la / l0), math.log(lb / la)
+    offset = math.log(la / l0) if l0 > 0.0 else math.inf
+    gap = math.log(lb / la)
+    if not (offset < math.inf and 0.0 < gap < math.inf):
+        raise InvalidShell(
+            f"shell ({r0!r}, {a!r}, {b!r}) is beyond float resolution at depth {k}: "
+            f"gaps ({offset!r}, {gap!r})"
+        )
+    return offset, gap
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,14 @@ integrate_sl is a pure function of the profile and its start data, so a
 profile keeps its last solve: a second call with the same profile object
 and the same (r_start, w0, w0p, r_end, tol) returns the same read-only
 trajectory without solving again.  This is what lets classify,
-abresch_checks and a caller's own integrate_sl share one solve.
+abresch_checks and a caller's own integrate_sl share one solve.  A call
+that differs only in r_end resumes the stored solve instead of repeating
+it: every piece keeps the step it proposed at each node and where it
+rejected trials, so the steps both ends leave unclamped are taken over and
+the loop continues from the node after them, bit-identical to a fresh
+solve.  boundary_test's solve to
+r_max, the index form's to the second zero and the Picone window's to 0.9
+of it share their steps this way.
 """
 
 from __future__ import annotations
@@ -141,8 +148,9 @@ class _StackedDop853:
 
     Built by _solve_piece from each accepted step's segment [t_old, t]:
     ts holds the node radii, h = t - t_old, y_old the start states (w, w')
-    one after the other, and F (segment, power, state) scipy's
-    interpolation coefficients.
+    one after the other, and F (power, segment, state) scipy's
+    interpolation coefficients, highest power first as the recurrence
+    reads them.
     A point takes OdeSolution's own segment (searchsorted(ts, t,
     side="left") - 1, clipped), and Dop853DenseOutput's recurrence runs
     over all points at once, with the same operations in the same order,
@@ -151,21 +159,42 @@ class _StackedDop853:
     per-call overhead would dominate.
 
     y_end is the state at ts[-1]; accepted, rejected and nfev count the
-    solver's steps and right-hand-side evaluations.
+    solver's steps and right-hand-side evaluations, and reused the leading
+    steps taken from an earlier solve (_solve_piece's prefix).  What else
+    the step loop starts a step from is kept for a later solve to resume
+    at any node: h_next, the step proposed at each node, and
+    rejected_steps, the index of the step of every rejected trial.
     """
 
-    def __init__(self, ts, y_old, F, y_end, rejected, nfev):
+    def __init__(self, ts, y_old, F, y_end, nfev, h_next, rejected_steps, reused):
         self.ts = np.array(ts, dtype=float)
         self._inner = self.ts[1:-1]
         self.t_old = self.ts[:-1]
         self.h = self.ts[1:] - self.t_old
         self.y_old = np.array(y_old, dtype=float).reshape(-1, 2)
-        # (power, segment, state), highest power first as the recurrence reads it
-        self.F = F.transpose(1, 0, 2)[::-1].copy()
+        self.F = F
         self.y_end = y_end
         self.accepted = len(self.ts) - 1
-        self.rejected = rejected
         self.nfev = nfev
+        self.h_next = np.array(h_next, dtype=float)
+        self.rejected_steps = np.array(rejected_steps, dtype=np.int64)
+        self.rejected = len(self.rejected_steps)
+        self.reused = reused
+
+    def shared_steps(self, h_abs: float, r_hi: float) -> int:
+        """How many leading steps a solve from the same start to r_hi repeats.
+
+        With the same tolerances and the same first proposed step h_abs,
+        a step is repeated when neither end clamps its first trial
+        t + max(h, min_step): its later trials are shorter, so neither end
+        clamps those either.
+        """
+        if h_abs != self.h_next[0]:
+            return 0
+        t = self.t_old
+        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        ok = t + np.maximum(self.h_next[:-1], min_step) <= min(self.ts[-1], r_hi)
+        return self.accepted if ok.all() else int(np.argmin(ok))
 
     def __call__(self, t):
         """(w, w') arrays at the points of the 1-d array t."""
@@ -198,12 +227,14 @@ class _PiecewiseDense:
 
     At a breakpoint the piece that starts there is used.  Radii outside
     [r_start, r_end] raise DomainMismatch: the interpolants would only
-    extrapolate there.
+    extrapolate there.  reused counts the accepted steps the solve took
+    from the profile's previous solve.
     """
 
-    def __init__(self, pieces):
+    def __init__(self, pieces, reused):
         # pieces: list of (r_lo, r_hi, _StackedDop853)
         self.pieces = pieces
+        self.reused = reused
         self._starts = [lo for lo, _, _ in pieces]
         self._range = (pieces[0][0], pieces[-1][1])
 
@@ -264,12 +295,15 @@ class SLTrajectory:
     def solver_counts(self) -> dict:
         """Accepted and rejected DOP853 steps and right-hand-side evaluations,
         summed over the solve's pieces (a restricted trajectory reports the
-        whole solve it was cut from)."""
+        whole solve it was cut from).  These are the counts of a fresh
+        solve; "reused" is how many of the accepted steps were taken from
+        the profile's previous solve instead (0 for a fresh solve)."""
         pieces = [piece for _, _, piece in self.dense.pieces]
         return {
             "accepted": sum(p.accepted for p in pieces),
             "rejected": sum(p.rejected for p in pieces),
             "nfev": sum(p.nfev for p in pieces),
+            "reused": self.dense.reused,
         }
 
     def residual_report(self) -> float:
@@ -347,7 +381,7 @@ def _norm_2(x) -> float:
     return math.sqrt(float(x.dot(x))) ** 2
 
 
-def _solve_piece(profile, r_lo, r_hi, y0, rtol, atol) -> _StackedDop853:
+def _solve_piece(profile, r_lo, r_hi, y0, rtol, atol, prefix=None) -> _StackedDop853:
     """DOP853 from y0 at r_lo to r_hi, with its dense output.
 
     scipy's DOP853 supplies the start (the first right-hand side, the
@@ -360,6 +394,13 @@ def _solve_piece(profile, r_lo, r_hi, y0, rtol, atol) -> _StackedDop853:
     solve_ivp(method="DOP853", dense_output=True).  Raises StepUnderflow
     where scipy stops with "Required step size is less than spacing
     between numbers", naming the radius and the piece.
+
+    prefix is an earlier solve of this piece from the same r_lo, y0, rtol
+    and atol to another end, or None.  The loop takes the leading steps
+    that this solve would repeat (prefix.shared_steps) and enters at the
+    node after them with the proposed step and rejection count stored
+    there and the right-hand side evaluated there again, so the result is
+    bit-identical to a solve without a prefix.
     """
     rhs = _checked_rhs(profile)
     r_lo, r_hi = float(r_lo), float(r_hi)
@@ -378,7 +419,16 @@ def _solve_piece(profile, r_lo, r_hi, y0, rtol, atol) -> _StackedDop853:
     t, h_abs = r_lo, float(solver.h_abs)
     (w, wp), (f, fp) = solver.y.tolist(), solver.f.tolist()
     ts, y_olds, F_low, F_high = [t], [], [], []
-    rejected, nfev = 0, solver.nfev
+    h_next, rejected_steps, nfev = [h_abs], [], solver.nfev
+    j = 0 if prefix is None else prefix.shared_steps(h_abs, r_hi)
+    if j:  # enter the loop at node j of the prefix
+        ts, h_next = prefix.ts[:j + 1].tolist(), prefix.h_next[:j + 1].tolist()
+        y_olds = prefix.y_old[:j].ravel().tolist()
+        rejected_steps = prefix.rejected_steps[prefix.rejected_steps < j].tolist()
+        t, h_abs = ts[-1], h_next[-1]
+        w, wp = prefix.y_old[j].tolist() if j < prefix.accepted else prefix.y_end
+        f, fp = rhs(t, (w, wp))  # as the step that ended at node j evaluated it
+        nfev += n * (j + len(rejected_steps)) + len(extra) * j
     while t < r_hi:
         min_step = 10 * abs(math.nextafter(t, math.inf) - t)
         if h_abs < min_step:
@@ -427,7 +477,7 @@ def _solve_piece(profile, r_lo, r_hi, y0, rtol, atol) -> _StackedDop853:
                 break
             h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** exponent)
             step_rejected = True
-            rejected += 1
+            rejected_steps.append(len(ts) - 1)
 
         # _dense_output_impl: three extra stages, then the coefficients F
         for i, KT, a, c in extra:
@@ -440,9 +490,13 @@ def _solve_piece(profile, r_lo, r_hi, y0, rtol, atol) -> _StackedDop853:
         F_high.append(h * D.dot(K))
         y_olds.extend((w, wp))
         ts.append(t_new)
+        h_next.append(h_abs)
         t, w, wp, f, fp = t_new, w_new, wp_new, f_new, fp_new
-    F = np.concatenate([np.array(F_low).reshape(-1, 3, 2), np.array(F_high)], axis=1)
-    return _StackedDop853(ts, y_olds, F, (w, wp), rejected, nfev)
+    F = np.concatenate([np.array(F_low).reshape(-1, 3, 2),
+                        np.array(F_high).reshape(-1, len(D), 2)], axis=1)
+    F = F.transpose(1, 0, 2)[::-1]  # (power, segment, state), highest power first
+    F = np.concatenate([prefix.F[:, :j], F], axis=1) if j else F.copy()
+    return _StackedDop853(ts, y_olds, F, (w, wp), nfev, h_next, rejected_steps, j)
 
 
 _EPS = float(np.finfo(float).eps)
@@ -533,7 +587,13 @@ def integrate_sl(
     The arguments are taken as floats.  The profile keeps the trajectory of
     its last solve: the same arguments again, compared exactly and sign
     included, return that trajectory; any other arguments solve and replace
-    it.  A solve that raises leaves the memo as it was.
+    it.  A solve that raises leaves the memo as it was.  When only r_end
+    differs and the solver tolerances are the same, the solve continues
+    from the stored one: pieces with both ends unchanged are taken whole,
+    the first piece whose end moved resumes inside _solve_piece from its
+    stored steps, and later pieces are solved afresh.  The result is
+    bit-identical to a fresh solve; solver_counts()["reused"] counts the
+    steps taken over.
     """
     if not r_start < r_end:
         raise DomainMismatch(f"need r_start < r_end, got [{r_start}, {r_end}]")
@@ -553,15 +613,28 @@ def integrate_sl(
     cuts += [b for b in sorted(set(profile.breakpoints)) if r_start < b < r_end]
     cuts.append(r_end)
     rtol, atol = _solver_tolerances(tol, r_start, r_end, w0, w0p)
+    earlier = ()  # the pieces of a stored solve that differs only in r_end
+    for old_key, old in memo.items():
+        if (old_key[:3] + old_key[4:] == key[:3] + key[4:]
+                and _solver_tolerances(tol, r_start, old.r_end, w0, w0p) == (rtol, atol)):
+            earlier = old.dense.pieces
 
-    pieces = []
+    pieces, reused = [], 0
     y = (w0, w0p)
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        piece = _solve_piece(profile, lo, hi, y, rtol, atol)
+    for i, (lo, hi) in enumerate(zip(cuts[:-1], cuts[1:])):
+        old = earlier[i] if i < len(earlier) else None
+        if old is not None and old[:2] == (lo, hi):
+            piece = old[2]
+            reused += piece.accepted
+        else:
+            piece = _solve_piece(profile, lo, hi, y, rtol, atol,
+                                 None if old is None else old[2])
+            reused += piece.reused
+            earlier = ()
         pieces.append((lo, hi, piece))
         y = piece.y_end
 
-    dense = _PiecewiseDense(pieces)
+    dense = _PiecewiseDense(pieces, reused)
     grid = np.unique(np.concatenate([piece.ts for _, _, piece in pieces]))
     w, wp = dense(grid)
 

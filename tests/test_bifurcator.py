@@ -1,6 +1,7 @@
 """Bifurcator classification, the structural diagnostics, and the boundary
 tests, anchored on the arctan example where everything is known in closed form."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -93,6 +94,14 @@ class TestAbresch:
         assert rep.independent_diverges
         assert rep.independent_solution_value > 1e3
         assert rep.wronskian_drift <= 1e-6
+
+    @pytest.mark.parametrize("cut", [1e4, 5e4])
+    def test_breakpoint_at_or_past_r_max_is_ignored(self, cut):
+        # (c) starts past the breakpoints below r_max; one at or past it
+        # used to start the reduction of order outside the solve
+        plain = bf.abresch_checks(bf.arctan_profile(), r_max=1e4, tol=1e-9)
+        cut_profile = dataclasses.replace(bf.arctan_profile(), breakpoints=(cut,))
+        assert bf.abresch_checks(cut_profile, r_max=1e4, tol=1e-9) == plain
 
 
 class TestBoundaryTest:

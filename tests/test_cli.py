@@ -2,13 +2,17 @@
 schema."""
 
 import argparse
+import contextlib
 import importlib.util
+import io
 import json
 import math
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from slboundary import cli, planar, sl_engine
@@ -23,6 +27,37 @@ def run_json(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
     return code, json.loads(out)
+
+
+def refuse_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+_NUMBER = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.floats(1e-3, 1e3).map(repr),
+    st.sampled_from(["0", "-0", "1", "2.718281828459045", "7.38905609893065", "1e-320",
+                     "1e308", "1e400", "", "x", "0x10"]),
+)
+
+
+@st.composite
+def lambda_argvs(draw):
+    """`lambda` argument vectors: valid, invalid and non-finite numbers (a
+    third of them a sorted triple), any --k, optional or missing options."""
+    values = draw(st.lists(_NUMBER, min_size=3, max_size=3))
+    if draw(st.integers(0, 2)) == 0:
+        values = [repr(v) for v in sorted(draw(st.lists(st.floats(1e-6, 1e6), min_size=3,
+                                                        max_size=3)))]
+    argv = ["lambda"]
+    for name, value in zip(("--r0", "--a", "--b"), values):
+        if draw(st.integers(0, 9)):
+            argv.append(f"{name}={value}")
+    if draw(st.booleans()):
+        k = draw(st.one_of(st.integers(-2, 5).map(str),
+                           st.sampled_from(["1000", "99999999999999999999", "1.5", "x"])))
+        argv.append(f"--k={k}")
+    return argv + draw(st.lists(st.sampled_from(["--json", "--no-meta"]), unique=True))
 
 
 class TestLambdaCommand:
@@ -58,6 +93,21 @@ class TestLambdaCommand:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(lambda_argvs())
+    def test_any_arguments_exit_0_1_2_with_strict_json(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse refusing an argument
+                code = exc.code
+        assert code in (0, 1, 2), (argv, code)
+        if code == 2:
+            assert out.getvalue() == "" and err.getvalue(), argv
+        elif "--json" in argv:
+            json.loads(out.getvalue(), parse_constant=refuse_constant)
 
     @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
     def test_non_finite_option_exits_2(self, capsys, value):

@@ -112,6 +112,16 @@ class TestLambdaLog:
         with pytest.raises(InvalidShell):
             kick.lambda_log(1, 0.9, 2.0, 4.0)
 
+    @pytest.mark.parametrize("k, r0, a, b", [
+        (0, 1e-320, 1e-310, 1e308),  # b / a overflows
+        (1, 2.0, 1e300, math.nextafter(1e300, math.inf)),  # ln b / ln a rounds to 1
+        (2, math.nextafter(E, 3.0), 3.0, 4.0),  # ln ln r0 rounds to 0
+        (1000, 1.0, 2.0, 3.0),  # superpower(1000) is inf
+    ])
+    def test_shell_beyond_float_resolution_refused(self, k, r0, a, b):
+        with pytest.raises(InvalidShell):
+            kick.lambda_log(k, r0, a, b)
+
     @pytest.mark.parametrize("k, r0, a", [(0, 1.0, 2.0), (1, 2.0, 3.0)])
     def test_infinite_outer_radius_refused(self, k, r0, a):
         with pytest.raises(InvalidShell):

@@ -14,7 +14,9 @@ the brentq calls of the node-by-node loop it replaced, in the same order.
 
 The closed-form second zero must match a bracket-and-brentq scan of the
 kicked solution at depths 0-2, equal the old depth-0 formula bit for bit
-at r0 = 1, obey the depth-0 scaling law and fall as the kick grows.
+at r0 = 1, obey the depth-0 scaling law and fall as the kick grows.  The
+kick threshold must lie in (0, pi / (2 gap)] with the defining equation
+changing sign within one ulp of it, on drawn shells at depths 0-2.
 """
 
 import dataclasses
@@ -24,7 +26,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
@@ -33,7 +35,8 @@ from slboundary import closed_form as cf
 from slboundary import kick
 from slboundary import surfaces as sf
 from slboundary.bifurcator import arctan_profile
-from slboundary.errors import DomainError, NoSecondZero, NonFiniteCoefficient, StepUnderflow
+from slboundary.errors import (DomainError, InvalidShell, NoSecondZero, NonFiniteCoefficient,
+                               StepUnderflow)
 from slboundary.sl_engine import (_TINY_SIGN, CurvatureProfile, _checked_rhs, _polish_zeros,
                                   _solve_piece, _solver_tolerances, integrate_sl)
 
@@ -495,3 +498,42 @@ class TestThreshold:
     def test_linear_is_log_at_depth_zero(self, r0, fa, fb):
         a, b = r0 * fa, r0 * fa * fb
         assert bits(kick.lambda_linear(r0, a, b)) == bits(kick.lambda_log(0, r0, a, b))
+
+
+@st.composite
+def kick_shells(draw):
+    """(k, r0, a, b) with superpower(k) < r0 <= a < b; a = r0 on some draws."""
+    k = draw(st.integers(0, 2))
+    r0 = cf.superpower(k) + 10.0 ** draw(st.floats(-3.0, 4.0))
+    a = r0 if draw(st.integers(0, 4)) == 0 else r0 * (1.0 + 10.0 ** draw(st.floats(-15.0, 2.0)))
+    b = a * (1.0 + 10.0 ** draw(st.floats(-15.0, 2.0)))
+    assume(r0 <= a < b)
+    return k, r0, a, b
+
+
+class TestKickThreshold:
+    @PROPS
+    @given(kick_shells())
+    def test_root_brackets_the_sign_change(self, shell):
+        """lambda_log's root lies in (0, pi / (2 gap)] and
+        g(lam) = cot(lam gap) - lam offset changes sign within one ulp of it;
+        with offset 0 the root is pi / (2 gap) itself."""
+        try:
+            offset, gap = cf.shell_gaps(*shell)
+        except InvalidShell:  # a shell floats cannot resolve is refused everywhere
+            with pytest.raises(InvalidShell):
+                kick.lambda_log(*shell)
+            return
+        lam = kick.lambda_log(*shell)
+        top = math.pi / (2.0 * gap)
+        assert 0.0 < lam <= top
+        if offset == 0.0:
+            assert lam == top
+            return
+
+        def g(x):
+            return math.cos(x * gap) / math.sin(x * gap) - x * offset
+
+        gs = [g(math.nextafter(lam, 0.0)), g(lam), g(math.nextafter(lam, math.inf))]
+        assert (gs[0] > 0.0 >= gs[1]) or (gs[1] > 0.0 >= gs[2]), (shell, lam, gs)
+

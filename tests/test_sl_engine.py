@@ -1,7 +1,7 @@
 """Integration engine: trivial coefficients, the arctan oracle, event
 detection, the dense-output defect certificate, Sturm spacing of the
-stored grid, the index form, the Picone comparison residual, and the
-per-profile memo of the last solve."""
+stored grid, the index form, the Picone comparison residual, the
+per-profile memo of the last solve, and solves that resume from it."""
 
 import dataclasses
 import math
@@ -9,12 +9,14 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from slboundary import closed_form as cf
 from slboundary import kick, sl_engine
 from slboundary import surfaces as sf
-from slboundary.bifurcator import arctan_profile
+from slboundary.bifurcator import arctan_profile, boundary_test
 from slboundary.errors import DomainError, DomainMismatch, NonFiniteCoefficient, YVanished
 from slboundary.sl_engine import (
     CurvatureProfile,
@@ -286,6 +288,132 @@ class TestSolveMemo:
         integrate_sl(a, *self.BASE)
         assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
         assert "_solves" not in repr(a)
+
+
+def _solve_bits(traj):
+    """Everything a solve produces, as exact reprs and bytes."""
+    out = [np.asarray(getattr(traj, f)).tobytes() for f in ("grid", "w", "wp", "zeros", "extrema")]
+    for lo, hi, p in traj.dense.pieces:
+        out += [repr((lo, hi, p.y_end)), p.ts.tobytes(), p.y_old.tobytes(), p.F.tobytes()]
+    counts = traj.solver_counts()
+    out.append(repr(({k: counts[k] for k in ("accepted", "rejected", "nfev")},
+                     traj.residual_report(), traj.r_start, traj.r_end, traj.tol)))
+    return out
+
+
+@st.composite
+def kicked_re_solves(draw):
+    """A kicked shell, tol and two different ends: before, on or between the
+    breakpoints a and b, past b, or less than 1 past the start."""
+    k = draw(st.integers(0, 2))
+    r0 = (1.0, 3.0, 20.0)[k] * draw(st.floats(0.5, 2.0))
+    a = r0 * draw(st.floats(1.2, 3.0))
+    b = a * draw(st.floats(1.2, 3.0))
+    spec = cf.KickSpec(r0, a, b, draw(st.floats(0.5, 10.0)), k)
+    tol = draw(st.sampled_from([1e-6, 1e-9, 1e-11]))
+
+    def end():
+        kind = draw(st.sampled_from(["before", "a", "b", "between", "past", "short"]))
+        u = draw(st.floats(0.05, 0.95))
+        return {"before": r0 + u * (a - r0), "a": a, "b": b, "between": a + u * (b - a),
+                "past": b * (1.0 + 9.0 * u), "short": r0 + u}[kind]
+
+    first, second = end(), end()
+    assume(first != second)
+    return spec, tol, first, second
+
+
+class TestSolveResume:
+    """A second solve of one profile from the same start data to another end
+    continues from the stored solve and equals a fresh solve bit for bit."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        """The list of _solve_piece calls made from now on."""
+        calls = []
+        solve = sl_engine._solve_piece
+
+        def counting(*args):
+            calls.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(sl_engine, "_solve_piece", counting)
+        return calls
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(kicked_re_solves())
+    def test_second_solve_equals_fresh_solve(self, problem):
+        spec, tol, first, second = problem
+        prof = kick.kicked_profile(spec)
+        integrate_sl(prof, spec.r0, 0.0, 1.0, first, tol)
+        got = integrate_sl(prof, spec.r0, 0.0, 1.0, second, tol)
+        fresh = integrate_sl(dataclasses.replace(prof), spec.r0, 0.0, 1.0, second, tol)
+        assert _solve_bits(got) == _solve_bits(fresh)
+        assert fresh.solver_counts()["reused"] == 0
+        assert 0 <= got.solver_counts()["reused"] <= got.solver_counts()["accepted"]
+
+    def test_shared_steps_skip_coefficient_calls(self):
+        calls = []
+
+        def one(r):
+            calls.append(r)
+            return 1.0 + 0.0 * np.asarray(r)
+
+        prof = CurvatureProfile(func=one, label="counted")
+        integrate_sl(prof, 0.0, 0.0, 1.0, 10.0, 1e-9)
+        del calls[:]
+        resumed = integrate_sl(prof, 0.0, 0.0, 1.0, 8.0, 1e-9)
+        n_resumed = len(calls)
+        del calls[:]
+        fresh = integrate_sl(dataclasses.replace(prof), 0.0, 0.0, 1.0, 8.0, 1e-9)
+        reused = resumed.solver_counts()["reused"]
+        assert reused >= 2
+        # 12 stage and 3 dense-output evaluations per shared accepted step,
+        # less the one that gives the right-hand side at the resume node
+        assert len(calls) - n_resumed >= 15 * reused - 1
+        assert _solve_bits(resumed) == _solve_bits(fresh)
+
+    def test_whole_pieces_are_taken_over(self, solves):
+        spec = cf.KickSpec(1.0, E, E**2, 2.0, 0)
+        prof = kick.kicked_profile(spec)
+        longer = integrate_sl(prof, 1.0, 0.0, 1.0, 50.0, 1e-9)
+        shorter = integrate_sl(prof, 1.0, 0.0, 1.0, 20.0, 1e-9)
+        assert [p for _, _, p in shorter.dense.pieces[:2]] == \
+            [p for _, _, p in longer.dense.pieces[:2]]
+        (_, _, last_piece), resumed = longer.dense.pieces[2], solves[-1]
+        assert len(solves) == 4 and resumed[1:3] == (E**2, 20.0) and resumed[6] is last_piece
+        assert shorter.solver_counts()["reused"] == (
+            sum(p.accepted for _, _, p in shorter.dense.pieces[:2])
+            + shorter.dense.pieces[2][2].reused)
+
+    def test_failed_resume_keeps_the_stored_solve(self, solves):
+        with np.errstate(invalid="ignore"):
+            bad = CurvatureProfile(func=lambda r: float(np.sqrt(5.0 - r)), label="nan-tail")
+            kept = integrate_sl(bad, 0.0, 0.0, 1.0, 4.0, 1e-9)
+            with pytest.raises(NonFiniteCoefficient):
+                integrate_sl(bad, 0.0, 0.0, 1.0, 6.0, 1e-9)
+        assert solves[-1][6] is kept.dense.pieces[0][2]  # the failing solve resumed
+        assert list(bad._solves.values()) == [kept]
+        assert integrate_sl(bad, 0.0, 0.0, 1.0, 4.0, 1e-9) is kept
+
+    def test_boundary_then_picone_solves_c_once(self, solves):
+        # the sequence of acceptance check #09: c is solved to r_max once;
+        # the Picone window takes its first two pieces whole and resumes the third
+        ar = arctan_profile()
+        c = CurvatureProfile(
+            func=lambda r: ar.func(np.asarray(r)) * (1.0 + 0.05 * ((np.asarray(r) >= 1.0)
+                                                                  & (np.asarray(r) <= 2.0))),
+            label="arctan+5pct",
+            breakpoints=(1.0, 2.0),
+        )
+        r1 = boundary_test(ar, c, r_max=1e4, tol=1e-9).second_zero
+        picone_residual(ar, c, 0.9 * r1, 1e-9)
+        on_c = [args for args in solves if args[0] is c]
+        assert [args[6] is None for args in on_c] == [True, True, True, False]
+        window = integrate_sl(c, 0.0, 0.0, 1.0, 0.9 * r1, 1e-9)  # the stored Picone solve
+        counts = window.solver_counts()
+        print(f"Picone window on c: {counts['reused']} of {counts['accepted']} steps reused")
+        assert counts["accepted"] - counts["reused"] <= 3
 
 
 class TestDenseOutput:
