@@ -18,7 +18,7 @@ from scipy.integrate import quad
 
 from .errors import ExceedanceViolated
 from .sl_engine import (CurvatureProfile, coefficient_func, dominates, integrate_sl,
-                        origin_start)
+                        origin_start, sampling_grid)
 
 CLASS_BIFURCATOR = "Bifurcator"
 CLASS_SECOND_ZERO = "NotBifurcator(SecondZero)"
@@ -157,9 +157,10 @@ def abresch_checks(b: CurvatureProfile, r_max: float = 1e4, tol: float = 1e-9) -
     (a) int r b(r) dr over [r_min, r_max] by adaptive quadrature, with the
         ratio of the last two dyadic blocks as the tail-convergence estimate;
     (b) w'(r_max) and the log-log slope of w' over the last decade;
-    (c) the reduction-of-order solution v = w int dr / w^2 started past the
-        last breakpoint of b below r_max (and at r >= 1), reported
-        divergent when |v| > 1e3 by r_max.
+    (c) the reduction-of-order solution v = w int dr / w^2 started at
+        max(start + 0.1, 1), start the solve's origin_start, and integrated
+        across the breakpoints of b (w and w' are continuous there, so
+        1 / w^2 is too), reported divergent when |v| > 1e3 by r_max.
     """
     lo = max(b.r_min, 0.0)
     blocks = [r_max / 8.0, r_max / 4.0, r_max / 2.0, r_max]
@@ -182,7 +183,7 @@ def abresch_checks(b: CurvatureProfile, r_max: float = 1e4, tol: float = 1e-9) -
     slope = float(np.polyfit(np.log(decade), np.log(np.clip(wps, 1e-300, None)), 1)[0])
 
     # Reduction of order on [r_s, r_max]: v = w * int dr / w^2, v' = w' I + 1/w.
-    r_s = max(start + 0.1, 1.0, *(x for x in b.breakpoints if x < r_max))
+    r_s = max(start + 0.1, 1.0)
     rs = np.geomspace(r_s, r_max, 4001)
     w, wp = traj.evaluate(rs)
     integrand = 1.0 / w**2
@@ -222,13 +223,14 @@ def boundary_test(
 ) -> BoundaryVerdict:
     """Compact-side test: does the solution for c (>= b) vanish again by r_max?
 
-    Raises ExceedanceViolated if c does not dominate b on the check grid.
+    Raises ExceedanceViolated if c does not dominate b on the check grid of
+    grid_size radii, and DomainMismatch if grid_size < 2.
     The solve starts at origin_start(c, max(b.r_min, c.r_min)).  NoEvidence
     does not refute compactness: the second zero is guaranteed to exist for
     a true exceedance but its location may be beyond r_max.
     """
     lo = max(b.r_min, c.r_min, 1e-9)
-    r_bad = dominates(c, b, np.geomspace(lo, r_max, grid_size))
+    r_bad = dominates(c, b, sampling_grid(lo, r_max, grid_size))
     if r_bad is not None:
         raise ExceedanceViolated(
             f"comparison profile is not finite or falls below the bifurcator "
@@ -265,9 +267,10 @@ def noncompact_side_check(
     """Noncompact-side test: does b dominate the supremal Ricci profile on the grid?
 
     Also reports the liminf diagnostic min b over the last dyad [r_max/2, r_max].
+    Raises DomainMismatch if grid_size < 2.
     """
     lo = max(profile_sup.r_min, b.r_min, 1e-9)
-    rs = np.geomspace(lo, r_max, grid_size)
+    rs = sampling_grid(lo, r_max, grid_size)
     liminf_diag = float(np.min(b.values(rs[rs >= r_max / 2.0])))
     r_bad = dominates(b, profile_sup, rs)
     if r_bad is None:

@@ -109,8 +109,8 @@ def critical_decay(r, mu: float = 0.0, k: int = 0):
     prod = x.copy()
     cur = x.copy()
     # Where prod**2 underflows to 0 the quotient is inf, and where it
-    # overflows the quotient is 0, as the float kernel gives (_over_square);
-    # those are the values, not faults.
+    # overflows the quotient is 0, as the float kernel gives
+    # (critical_decay_terms); those are the values, not faults.
     with np.errstate(divide="ignore", over="ignore"):
         for j in range(k):
             total += 1.0 / prod**2
@@ -125,15 +125,27 @@ def critical_decay(r, mu: float = 0.0, k: int = 0):
     return out if out.ndim else float(out)
 
 
-def log_product_float(k: int, r: float) -> float:
-    """log_product for one float, with math and in the same operation order."""
-    if not r > superpower(k):
-        raise DomainError(f"log_product({k}, .) requires r > {superpower(k)}")
+def critical_decay_terms(r: float, k: int) -> tuple[float, float]:
+    """(sum_{j<k} 1 / P_j^2, P_k) for one float, P_j = r ln(r) ... ln^j(r).
+
+    The loop of critical_decay in math and in its operation order; a square
+    that underflows to 0 gives an inf term, as numpy does.  Raises the same
+    DomainError as critical_decay.
+    """
+    if not (math.isfinite(r) and r > 0.0):
+        raise DomainError("critical_decay requires finite positive r")
+    total = 0.0
     prod = cur = r
     for _ in range(k):
+        sq = prod * prod
+        total += 1.0 / sq if sq else math.inf
         cur = math.log(cur)
+        if cur <= 0.0:
+            raise DomainError(
+                f"critical_decay depth {k} requires r > {superpower(k)}"
+            )
         prod = prod * cur
-    return prod
+    return total, prod
 
 
 def critical_decay_float(r: float, mu: float = 0.0, k: int = 0) -> float:
@@ -142,26 +154,9 @@ def critical_decay_float(r: float, mu: float = 0.0, k: int = 0) -> float:
     Raises the same DomainError as critical_decay; agrees with it to a few
     ulps (math.log and numpy's log may round differently).
     """
-    if not (math.isfinite(r) and r > 0.0):
-        raise DomainError("critical_decay requires finite positive r")
-    total = 0.0
-    prod = cur = r
-    for _ in range(k):
-        total += _over_square(1.0, prod)
-        cur = math.log(cur)
-        if cur <= 0.0:
-            raise DomainError(
-                f"critical_decay depth {k} requires r > {superpower(k)}"
-            )
-        prod = prod * cur
-    total += _over_square(1.0 + 4.0 * mu * mu, prod)
-    return 0.25 * total
-
-
-def _over_square(num: float, x: float) -> float:
-    """num / x**2, giving inf as numpy does where x**2 underflows to 0."""
-    sq = x * x
-    return num / sq if sq else math.inf
+    total, prod = critical_decay_terms(r, k)
+    sq = prod * prod
+    return 0.25 * (total + ((1.0 + 4.0 * mu * mu) / sq if sq else math.inf))
 
 
 def _tau(k: int, r):

@@ -24,13 +24,14 @@ from .closed_form import (
     KickSpec,
     critical_decay,
     critical_decay_float,
-    log_product_float,
+    critical_decay_terms,
     second_zero_closed_form,
     shell_gaps,
     superpower,
 )
 from .errors import InvalidShell
-from .sl_engine import CurvatureProfile, coefficient_func, dominates, find_second_zero
+from .sl_engine import (CurvatureProfile, coefficient_func, dominates, find_second_zero,
+                        sampling_grid)
 
 #: The source remark quotes 0.46 for the shell a = e, b = e^2.  The defining
 #: equation for r0 = 1 reduces to cot(lam) = lam, whose smallest positive root
@@ -106,10 +107,13 @@ def kicked_profile(spec: KickSpec) -> CurvatureProfile:
         return out
 
     def scalar(r):
-        base = critical_decay_float(r, 0.0, k)
+        # critical_decay_float(r, 0.0, k), plus mu^2 / log_product(k, r)^2 on
+        # the shell: P_k is the log product, so it is computed once
+        total, prod = critical_decay_terms(r, k)
+        sq = prod * prod
+        base = 0.25 * (total + (1.0 / sq if sq else math.inf))
         if a <= r <= b:
-            lp = log_product_float(k, r)
-            return base + mu2 / (lp * lp)
+            return base + mu2 / sq
         return base
 
     return CurvatureProfile(
@@ -213,7 +217,7 @@ def certify(
     equation is integrated and the second zero becomes the conjugate pair.
     If the profile instead sits at or below a supplied bifurcator everywhere,
     the verdict is NoncompactSide.  Otherwise Inconclusive, naming the first
-    failing radius.
+    failing radius.  A grid_size below 2 raises DomainMismatch.
     """
     if n < 2:
         raise InvalidShell(f"manifold dimension must be >= 2, got {n}")
@@ -247,7 +251,7 @@ def certify(
 
     # Base hypothesis: profile >= critical decay everywhere past r0.
     r_bad = dominates(profile, equality_profile(spec.k),
-                      np.geomspace(spec.r0, r_max, grid_size))
+                      sampling_grid(spec.r0, r_max, grid_size))
     if r_bad is not None:
         return inconclusive(f"base decay hypothesis fails at r = {r_bad:.9g}")
 

@@ -94,9 +94,10 @@ def coefficient_func(scalar, vector):
     The ODE right-hand side calls func with one float per stage, where a
     0-d numpy evaluation costs far more than the arithmetic; floats go to
     scalar, everything else goes to vector as a float array (0-d arrays
-    are unwrapped to a float and take the scalar kernel).  The solver's
-    stage radii are numpy float64s, whose arithmetic is slower than a
-    Python float's, so scalar always receives a Python float.
+    are unwrapped to a float and take the scalar kernel).  The step loop's
+    stage radii are Python floats; a numpy float64 (DOP853's first-step
+    probe, an element of a caller's array) is a float too and is converted,
+    since its arithmetic is slower, so scalar always receives a Python float.
     """
 
     def func(r):
@@ -106,6 +107,17 @@ def coefficient_func(scalar, vector):
         return vector(x) if x.ndim else scalar(float(x))
 
     return func
+
+
+def sampling_grid(lo: float, hi: float, grid_size: int) -> np.ndarray:
+    """grid_size log-spaced radii from lo to hi, the grid a hypothesis is checked on.
+
+    A grid of fewer than 2 radii samples at most one radius, so a check on
+    it proves nothing: DomainMismatch.
+    """
+    if not grid_size >= 2:
+        raise DomainMismatch(f"a sampling grid needs grid_size >= 2, got {grid_size!r}")
+    return np.geomspace(lo, hi, grid_size)
 
 
 def dominates(upper: CurvatureProfile, lower: CurvatureProfile, rs) -> Optional[float]:
@@ -347,20 +359,24 @@ class SLTrajectory:
         )
 
 
+def _non_finite(profile: CurvatureProfile, b: float, r: float) -> NonFiniteCoefficient:
+    return NonFiniteCoefficient(f"profile {profile.label!r} evaluated to {b} at r = {r}")
+
+
 def _checked_rhs(profile: CurvatureProfile):
     """(w', w'') = (y[1], -b(r) y[0]); NonFiniteCoefficient where b is NaN or inf.
 
     b is widened to a Python float, so the product is taken in float64
     whatever real type func returns, as it is when y is a float64 array.
+    DOP853's start and a resumed piece's first node evaluate through it;
+    _solve_piece's step loop performs the same operations inline.
     """
     func = profile.func
 
     def rhs(r, y):
         b = float(func(r))
         if not math.isfinite(b):
-            raise NonFiniteCoefficient(
-                f"profile {profile.label!r} evaluated to {b} at r = {r}"
-            )
+            raise _non_finite(profile, b, r)
         return (y[1], -b * y[0])
 
     return rhs
@@ -376,11 +392,6 @@ def _solver_tolerances(tol, r_start, r_end, w0, w0p) -> tuple[float, float]:
     return _solver_rtol(tol), max(1e-11 * tol * scale, 1e-280)
 
 
-def _norm_2(x) -> float:
-    """np.linalg.norm(x) ** 2 for a 1-d float array, as scipy's DOP853 takes it."""
-    return math.sqrt(float(x.dot(x))) ** 2
-
-
 def _solve_piece(profile, r_lo, r_hi, y0, rtol, atol, prefix=None) -> _StackedDop853:
     """DOP853 from y0 at r_lo to r_hi, with its dense output.
 
@@ -391,9 +402,12 @@ def _solve_piece(profile, r_lo, r_hi, y0, rtol, atol, prefix=None) -> _StackedDo
     error and interpolant sum is an np.dot (as ndarray.dot, the same call)
     on the same array layout, and the elementwise steps run in float
     arithmetic, so the nodes, states and dense output are bit-identical to
-    solve_ivp(method="DOP853", dense_output=True).  Raises StepUnderflow
-    where scipy stops with "Required step size is less than spacing
-    between numbers", naming the radius and the piece.
+    solve_ivp(method="DOP853", dense_output=True).  Each right-hand side
+    is evaluated inline, as _checked_rhs does: profile.func is called once
+    with the stage radius as a Python float (the same value as scipy's
+    float64), widened with float() and checked finite.  Raises
+    StepUnderflow where scipy stops with "Required step size is less than
+    spacing between numbers", naming the radius and the piece.
 
     prefix is an earlier solve of this piece from the same r_lo, y0, rtol
     and atol to another end, or None.  The loop takes the leading steps
@@ -403,18 +417,20 @@ def _solve_piece(profile, r_lo, r_hi, y0, rtol, atol, prefix=None) -> _StackedDo
     bit-identical to a solve without a prefix.
     """
     rhs = _checked_rhs(profile)
+    func, isfinite = profile.func, math.isfinite
     r_lo, r_hi = float(r_lo), float(r_hi)
     solver = DOP853(rhs, r_lo, y0, r_hi, rtol=rtol, atol=atol)
     rtol, atol = float(solver.rtol), float(solver.atol)
-    n, A, C, D = solver.n_stages, solver.A, solver.C, solver.D
+    n, A, C, D = solver.n_stages, solver.A, solver.C.tolist(), solver.D
     K = solver.K_extended  # stage derivatives, one (w', w'') row per stage
     Kf = K.reshape(-1)  # the same memory, written one float at a time
     stages = [(2 * s, K[:s].T, A[s, :s], C[s]) for s in range(1, n)]
     extra = [(2 * s, K[:s].T, a[:s], c) for s, (a, c) in
-             enumerate(zip(solver.A_EXTRA, solver.C_EXTRA), start=n + 1)]
+             enumerate(zip(solver.A_EXTRA, solver.C_EXTRA.tolist()), start=n + 1)]
     KB, B = K[:n].T, solver.B
     KE, E3, E5 = K[:n + 1].T, solver.E3, solver.E5
     exponent = solver.error_exponent
+    scale = np.empty(2)
 
     t, h_abs = r_lo, float(solver.h_abs)
     (w, wp), (f, fp) = solver.y.tolist(), solver.f.tolist()
@@ -450,21 +466,30 @@ def _solve_piece(profile, r_lo, r_hi, y0, rtol, atol, prefix=None) -> _StackedDo
             Kf[0], Kf[1] = f, fp
             for i, KT, a, c in stages:
                 d, dp = KT.dot(a).tolist()
-                Kf[i], Kf[i + 1] = rhs(t + c * h, (w + d * h, wp + dp * h))
+                r = t + c * h
+                b = float(func(r))
+                if not isfinite(b):
+                    raise _non_finite(profile, b, r)
+                Kf[i], Kf[i + 1] = wp + dp * h, -b * (w + d * h)
             d, dp = KB.dot(B).tolist()
             w_new, wp_new = w + h * d, wp + h * dp
-            f_new, fp_new = Kf[2 * n], Kf[2 * n + 1] = rhs(t_new, (w_new, wp_new))
+            b = float(func(t_new))
+            if not isfinite(b):
+                raise _non_finite(profile, b, t_new)
+            f_new, fp_new = Kf[2 * n], Kf[2 * n + 1] = wp_new, -b * w_new
             nfev += n
 
-            scale = np.array((atol + max(abs(w), abs(w_new)) * rtol,
-                              atol + max(abs(wp), abs(wp_new)) * rtol))
-            err5_norm_2 = _norm_2(KE.dot(E5) / scale)
-            err3_norm_2 = _norm_2(KE.dot(E3) / scale)
+            scale[0] = atol + max(abs(w), abs(w_new)) * rtol
+            scale[1] = atol + max(abs(wp), abs(wp_new)) * rtol
+            err = KE.dot(E5) / scale  # np.linalg.norm(err) ** 2, as scipy takes it
+            err5_norm_2 = math.sqrt(err.dot(err)) ** 2
+            err = KE.dot(E3) / scale
+            err3_norm_2 = math.sqrt(err.dot(err)) ** 2
             if err5_norm_2 == 0 and err3_norm_2 == 0:
                 error_norm = 0.0
             else:
                 denom = err5_norm_2 + 0.01 * err3_norm_2
-                error_norm = abs(h) * err5_norm_2 / math.sqrt(denom * len(scale))
+                error_norm = abs(h) * err5_norm_2 / math.sqrt(denom * 2)
 
             if error_norm < 1:
                 if error_norm == 0:
@@ -482,18 +507,23 @@ def _solve_piece(profile, r_lo, r_hi, y0, rtol, atol, prefix=None) -> _StackedDo
         # _dense_output_impl: three extra stages, then the coefficients F
         for i, KT, a, c in extra:
             d, dp = KT.dot(a).tolist()
-            Kf[i], Kf[i + 1] = rhs(t + c * h, (w + d * h, wp + dp * h))
+            r = t + c * h
+            b = float(func(r))
+            if not isfinite(b):
+                raise _non_finite(profile, b, r)
+            Kf[i], Kf[i + 1] = wp + dp * h, -b * (w + d * h)
         nfev += len(extra)
         dw, dwp = w_new - w, wp_new - wp
         F_low.extend((dw, dwp, h * f - dw, h * fp - dwp,
                       2 * dw - h * (f_new + f), 2 * dwp - h * (fp_new + fp)))
-        F_high.append(h * D.dot(K))
+        F_high.append(D.dot(K))
         y_olds.extend((w, wp))
         ts.append(t_new)
         h_next.append(h_abs)
         t, w, wp, f, fp = t_new, w_new, wp_new, f_new, fp_new
-    F = np.concatenate([np.array(F_low).reshape(-1, 3, 2),
-                        np.array(F_high).reshape(-1, len(D), 2)], axis=1)
+    # scipy's h * D.dot(K), one step's h to each step's block
+    F_high = np.array(F_high).reshape(-1, len(D), 2) * np.diff(ts[j:])[:, None, None]
+    F = np.concatenate([np.array(F_low).reshape(-1, 3, 2), F_high], axis=1)
     F = F.transpose(1, 0, 2)[::-1]  # (power, segment, state), highest power first
     F = np.concatenate([prefix.F[:, :j], F], axis=1) if j else F.copy()
     return _StackedDop853(ts, y_olds, F, (w, wp), nfev, h_next, rejected_steps, j)

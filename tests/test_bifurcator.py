@@ -13,7 +13,7 @@ from scipy.integrate import quad
 
 from slboundary import bifurcator as bf
 from slboundary import sl_engine
-from slboundary.errors import ExceedanceViolated
+from slboundary.errors import DomainMismatch, ExceedanceViolated
 from slboundary.sl_engine import CurvatureProfile, dominates, integrate_sl
 
 
@@ -97,11 +97,22 @@ class TestAbresch:
 
     @pytest.mark.parametrize("cut", [1e4, 5e4])
     def test_breakpoint_at_or_past_r_max_is_ignored(self, cut):
-        # (c) starts past the breakpoints below r_max; one at or past it
-        # used to start the reduction of order outside the solve
+        # a breakpoint at or past r_max used to start the reduction of
+        # order (c) outside the solve
         plain = bf.abresch_checks(bf.arctan_profile(), r_max=1e4, tol=1e-9)
         cut_profile = dataclasses.replace(bf.arctan_profile(), breakpoints=(cut,))
         assert bf.abresch_checks(cut_profile, r_max=1e4, tol=1e-9) == plain
+
+    @pytest.mark.parametrize("cut", [5e3, 9e3])
+    def test_reduction_of_order_crosses_breakpoints(self, cut):
+        # w and w' are continuous at a breakpoint, so (c) integrates across
+        # it; starting past it read 3,183 (5e3) and 637 (9e3, not divergent)
+        plain = bf.abresch_checks(bf.arctan_profile(), r_max=1e4, tol=1e-9)
+        cut_profile = dataclasses.replace(bf.arctan_profile(), breakpoints=(cut,))
+        rep = bf.abresch_checks(cut_profile, r_max=1e4, tol=1e-9)
+        assert rep.independent_diverges
+        assert_allclose(rep.independent_solution_value, plain.independent_solution_value,
+                        rtol=1e-9)
 
 
 class TestBoundaryTest:
@@ -133,6 +144,13 @@ class TestBoundaryTest:
         with pytest.raises(ExceedanceViolated, match="not finite"):
             bf.boundary_test(bf.arctan_profile(), holed, r_max=1e4)
 
+    @pytest.mark.parametrize("grid_size", [0, 1])
+    def test_degenerate_grid_refused(self, grid_size):
+        # with no grid the exceedance check saw nothing and CompactSide came back
+        with pytest.raises(DomainMismatch, match="grid_size >= 2"):
+            bf.boundary_test(bf.arctan_profile(), bumped_arctan(0.05), r_max=1e4,
+                             grid_size=grid_size)
+
     def test_margin_grows_find_zero_sooner(self):
         z5 = bf.boundary_test(bf.arctan_profile(), bumped_arctan(0.05), r_max=1e4).second_zero
         z20 = bf.boundary_test(bf.arctan_profile(), bumped_arctan(0.20), r_max=1e4).second_zero
@@ -157,6 +175,12 @@ class TestNoncompactSide:
             label="holed",
         )
         assert bf.noncompact_side_check(holed, ar, r_max=1e4).verdict == "NotApplicable"
+
+    @pytest.mark.parametrize("grid_size", [0, 1])
+    def test_degenerate_grid_refused(self, grid_size):
+        ar = bf.arctan_profile()
+        with pytest.raises(DomainMismatch, match="grid_size >= 2"):
+            bf.noncompact_side_check(ar, ar, r_max=1e4, grid_size=grid_size)
 
     def test_liminf_diagnostic_decays(self):
         # b ~ 4/(pi r^3): the last-dyad minimum falls off like r_max^-3

@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose
 from slboundary import closed_form as cf
 from slboundary import kick
 from slboundary.bifurcator import arctan_profile
-from slboundary.errors import InvalidShell
+from slboundary.errors import DomainMismatch, InvalidShell
 from slboundary.schema import validate_certificate
 from slboundary.sl_engine import CurvatureProfile, find_second_zero
 
@@ -253,3 +253,24 @@ class TestCertify:
         cert = kick.certify(nan, n=2, spec=spec, r_max=1e4,
                             bifurcator_profile=kick.kicked_profile(spec))
         assert cert.verdict == "Inconclusive"
+
+    @pytest.mark.parametrize("grid_size", [0, 1, 10000])
+    def test_degenerate_grid_refused(self, grid_size):
+        # the README shell less 10 on (100, 200): one or no sampled radius
+        # cannot see the dip, and the comparison solve alone gives r1 = 13710.2
+        spec = cf.KickSpec(1.0, E, E**2, 0.95, 0)
+        good = kick.kicked_profile(spec)
+
+        def f(r):
+            x = np.asarray(r, dtype=float)
+            out = good.func(x) - 10.0 * ((x > 100.0) & (x < 200.0))
+            return out if out.ndim else float(out)
+
+        dipped = CurvatureProfile(func=f, r_min=good.r_min, label="dipped",
+                                  breakpoints=good.breakpoints)
+        if grid_size < 2:
+            with pytest.raises(DomainMismatch, match="grid_size >= 2"):
+                kick.certify(dipped, n=2, spec=spec, r_max=1e6, grid_size=grid_size)
+        else:
+            cert = kick.certify(dipped, n=2, spec=spec, r_max=1e6, grid_size=grid_size)
+            assert cert.verdict == "Inconclusive" and cert.r1 is None

@@ -71,8 +71,8 @@ def bits(x):
 
 
 @st.composite
-def kicked(draw):
-    """A kicked profile at depth k = 0, 1, 2 and a radius on its domain.
+def kick_cases(draw):
+    """A kick shell at depth k = 0, 1, 2 and a radius on its domain.
 
     The base point sits at least 1 beyond superpower(k): next to it the
     iterated logarithm is ill-conditioned, and a 1-ulp difference between
@@ -83,9 +83,37 @@ def kicked(draw):
     a = r0 * draw(st.floats(1.0, 10.0))
     b = a * draw(st.floats(1.01, 10.0))
     mu = draw(st.floats(0.0, 5.0))
-    prof = kick.kicked_profile(cf.KickSpec(r0, a, b, mu, k))
+    spec = cf.KickSpec(r0, a, b, mu, k)
     r = draw(st.one_of(st.floats(r0, 1e9), st.sampled_from([r0, a, b])))
-    return prof, r
+    return spec, r
+
+
+@st.composite
+def kicked(draw):
+    """The kicked profile of a kick_cases shell and the radius."""
+    spec, r = draw(kick_cases())
+    return kick.kicked_profile(spec), r
+
+
+def log_product_float(k, r):
+    """The float log product the kicked scalar kernel took on the shell
+    before it shared critical_decay's loop, kept as its reference."""
+    if not r > cf.superpower(k):
+        raise DomainError(f"log_product({k}, .) requires r > {cf.superpower(k)}")
+    prod = cur = r
+    for _ in range(k):
+        cur = math.log(cur)
+        prod = prod * cur
+    return prod
+
+
+def kicked_reference(spec, r):
+    """critical_decay_float, plus mu^2 / log_product_float^2 on [a, b]."""
+    base = cf.critical_decay_float(r, 0.0, spec.k)
+    if spec.a <= r <= spec.b:
+        lp = log_product_float(spec.k, r)
+        return base + spec.mu**2 / (lp * lp)
+    return base
 
 
 @pytest.fixture(scope="module")
@@ -133,6 +161,28 @@ class TestKickedKernels:
         vec = prof.func(rs)
         assert np.array_equal(vec, cf.critical_decay(rs, 0.0, k))
         assert max(ulps(prof.func(float(r)), v) for r, v in zip(rs, vec)) <= 4.0
+
+
+class TestKickedScalarKernel:
+    @PROPS
+    @given(kick_cases(), st.floats(0.0, 1.0))
+    def test_bit_identical_to_reference(self, case, frac):
+        """The drawn radius (mostly off the shell) and one on [a, b]."""
+        spec, r = case
+        func = kick.kicked_profile(spec).func
+        for x in (r, spec.a + frac * (spec.b - spec.a)):
+            assert bits(func(x)) == bits(kicked_reference(spec, x)), x
+
+    @PROPS
+    @given(st.integers(0, 2), st.one_of(
+        st.floats(-1e3, 0.0), st.floats(0.0, 1.0), st.floats(1.0, math.e),
+        st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 1.0, math.e])))
+    def test_same_refusals_as_reference(self, k, r):
+        spec = cf.KickSpec(20.0, 30.0, 60.0, 1.0, k)
+        got = raised(kick.kicked_profile(spec).func, r)
+        assert got == raised(lambda x: kicked_reference(spec, x), r)
+        if not (math.isfinite(r) and r > cf.superpower(k)):
+            assert got is not None and got[0] is DomainError
 
 
 class TestSurfaceKernels:
@@ -301,6 +351,53 @@ class TestDop853Loop:
         assert m is not None, str(exc.value)
         assert float(m.group(1)) == sol.t[-1]
         assert int(m.group(2)) == len(sol.t) - 1
+
+
+def wavy(r):
+    return 1.0 + 0.5 * math.sin(r)
+
+
+class TestInlineStages:
+    def test_loop_passes_python_floats(self):
+        """Every radius the step loop evaluates is a Python float.  Of each
+        piece's evaluations the first two are DOP853's start: b at r_lo and
+        the probe of select_initial_step, whose radius is scipy's."""
+        calls = []
+
+        def func(r):
+            calls.append(type(r))
+            return wavy(r)
+
+        traj = integrate_sl(CurvatureProfile(func=func, breakpoints=(3.0, 7.0)),
+                            0.0, 0.0, 1.0, 10.0, 1e-9)
+        assert len(calls) == traj.solver_counts()["nfev"]
+        start = 0
+        for _, _, piece in traj.dense.pieces:
+            mine = [calls[start]] + calls[start + 2:start + piece.nfev]
+            assert set(mine) == {float}
+            start += piece.nfev
+
+    @pytest.mark.parametrize("which", [0.3, 0.7, 1.0])
+    def test_same_refusal_on_nan_inside_one_step(self, which):
+        """b is NaN at one stage radius strictly inside a step (1.0: the last
+        dense-output stage); the message names it as the reference's does."""
+        radii = []
+
+        def func(r):
+            radii.append(r)
+            return wavy(r)
+
+        piece = _solve_piece(CurvatureProfile(func=func), 0.0, 20.0, (0.0, 1.0), 1e-8, 1e-16)
+        nodes = set(piece.ts.tolist())
+        inner = [r for r in radii[2:] if r not in nodes]
+        r_bad = inner[int(which * (len(inner) - 1))]
+        bad = CurvatureProfile(func=lambda r: math.nan if r == r_bad else wavy(r),
+                               label="nan-spot")
+        want = raised(lambda y0: reference_piece(bad, 0.0, 20.0, y0, 1e-8, 1e-16), (0.0, 1.0))
+        got = raised(lambda y0: _solve_piece(bad, 0.0, 20.0, y0, 1e-8, 1e-16), (0.0, 1.0))
+        assert want is not None and want[0] is NonFiniteCoefficient
+        assert got == want
+        assert got[1].endswith(f"evaluated to nan at r = {r_bad}")
 
 
 @pytest.fixture(scope="module")
