@@ -1,17 +1,9 @@
 """Numerical certification toolkit for radial curvature profiles: kick
 thresholds, conjugate points via Sturm-Liouville second zeros, bifurcator
-classification, surfaces of revolution, and planar curve reconstruction."""
+classification, surfaces of revolution, and planar curve reconstruction.
+
+Import the submodules themselves (``from slboundary import kick``); the
+package re-exports nothing, so importing it loads no scipy.
+"""
 
 __version__ = "0.1.0"
-
-from .closed_form import KickSpec, MatchingCoefficients  # noqa: F401
-from .kick import Certificate, certify, diameter_bound, lambda_linear, lambda_log  # noqa: F401
-from .sl_engine import (  # noqa: F401
-    CurvatureProfile,
-    IndexFormInput,
-    SLTrajectory,
-    find_second_zero,
-    index_form,
-    integrate_sl,
-    picone_residual,
-)

