@@ -14,11 +14,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import ExceedanceViolated
 from .sl_engine import (CurvatureProfile, coefficient_func, dominates, integrate_sl,
-                        origin_start, sampling_grid)
+                        origin_start, quad, sampling_grid)
 
 CLASS_BIFURCATOR = "Bifurcator"
 CLASS_SECOND_ZERO = "NotBifurcator(SecondZero)"

@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import __version__, bifurcator, kick, planar, surfaces
+from . import __version__, bifurcator, kick, planar
 from .closed_form import KickSpec
 from .errors import DomainError, ToolkitError
 from .kick import remark_shell_note, threshold_residual
@@ -78,6 +78,8 @@ def _named_profile(name: str, args) -> CurvatureProfile:
     if name == "arctan-bifurcator":
         return bifurcator.arctan_profile()
     if name in ("capped-cylinder", "paraboloid"):
+        from . import surfaces  # scipy's quad and PCHIP: loaded only for surfaces
+
         s = surfaces.capped_cylinder() if name == "capped-cylinder" else surfaces.paraboloid()
         r_hi = max(getattr(args, "r_max", 1e4), 1.0) * 1.1
         return surfaces.curvature_profile(s, np.geomspace(0.1, r_hi, 16))
@@ -173,6 +175,8 @@ def cmd_bifurcate(args) -> int:
 
 def _surface_values(s, rho: float) -> tuple:
     """(r, K, K r^3, K r^2) at rho; DomainError where a value leaves float range."""
+    from . import surfaces
+
     try:
         r = surfaces.geodesic_radius(s, rho)
         k = surfaces.gauss_curvature(s, rho, "exact")
@@ -185,6 +189,8 @@ def _surface_values(s, rho: float) -> tuple:
 
 
 def cmd_surface(args) -> int:
+    from . import surfaces
+
     s = surfaces.capped_cylinder() if args.name == "capped-cylinder" else surfaces.paraboloid()
     lo, hi = args.rho_min, args.rho_max
     if hi is None:

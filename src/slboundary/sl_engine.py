@@ -4,10 +4,13 @@ comparison residual.
 
 The integrator is an adaptive 8th-order embedded pair (DOP853) with dense
 output.  Its step loop (_solve_piece) repeats scipy's DOP853 operation for
-operation, starting from scipy's own initial step and tableau, so nodes,
-states and dense output are bit-identical to solve_ivp(method="DOP853",
-dense_output=True) while each step costs less; it writes every accepted
-step's interpolation data straight into the stacked dense output.
+operation, from the tableau and the initial-step rule that the dop853
+module ports, so nodes, states and dense output are bit-identical to
+solve_ivp(method="DOP853", dense_output=True) while each step costs less;
+it writes every accepted step's interpolation data straight into the
+stacked dense output.  Zeros and extrema are polished with a port of
+scipy.optimize.brentq.  So a solve imports numpy alone; only the index
+form's quadrature loads scipy, when it runs.
 
 The dense output is the trajectory's one interpolant.  Its grid is the
 accepted solver nodes; zeros and extrema are bracketed on that grid and
@@ -36,9 +39,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import DOP853, quad
-from scipy.optimize import brentq
 
+from . import dop853
 from .errors import (DomainError, DomainMismatch, NonFiniteCoefficient, StepUnderflow,
                      ToolkitError, YVanished)
 
@@ -94,10 +96,11 @@ def coefficient_func(scalar, vector):
     The ODE right-hand side calls func with one float per stage, where a
     0-d numpy evaluation costs far more than the arithmetic; floats go to
     scalar, everything else goes to vector as a float array (0-d arrays
-    are unwrapped to a float and take the scalar kernel).  The step loop's
-    stage radii are Python floats; a numpy float64 (DOP853's first-step
-    probe, an element of a caller's array) is a float too and is converted,
-    since its arithmetic is slower, so scalar always receives a Python float.
+    are unwrapped to a float and take the scalar kernel).  Every radius a
+    solve evaluates, the initial-step probe included, is a Python float; a
+    numpy float64 (an element of a caller's array) is a float too and is
+    converted, since its arithmetic is slower, so scalar always receives a
+    Python float.
     """
 
     def func(r):
@@ -349,8 +352,9 @@ def _checked_rhs(profile: CurvatureProfile):
 
     b is widened to a Python float, so the product is taken in float64
     whatever real type func returns, as it is when y is a float64 array.
-    DOP853's start and a resumed piece's first node evaluate through it;
-    _solve_piece's step loop performs the same operations inline.
+    A piece's start (the first right-hand side and the initial-step probe)
+    and a resumed piece's first node evaluate through it; _solve_piece's
+    step loop performs the same operations inline.
     """
     func = profile.func
 
@@ -376,10 +380,13 @@ def _solver_tolerances(tol, r_start, r_end, w0, w0p) -> tuple[float, float]:
 def _solve_piece(profile, r_lo, r_hi, y0, rtol, atol, prefix=None) -> _StackedDop853:
     """DOP853 from y0 at r_lo to r_hi, with its dense output.
 
-    scipy's DOP853 supplies the start (the first right-hand side, the
-    first step, the finite-y0 check) and the tableau; the loop below
-    repeats its _step_impl, rk_step, _estimate_error_norm and
-    _dense_output_impl operation for operation.  Every stage, weight,
+    The start is DOP853's: the first right-hand side at r_lo and
+    dop853.initial_step, two evaluations.  With dop853's tableau the loop
+    below repeats scipy's _step_impl, rk_step, _estimate_error_norm and
+    _dense_output_impl operation for operation.  A non-finite y0 raises
+    DOP853's ValueError (integrate_sl refuses a non-finite start before
+    that); rtol must be at least 100 eps, as integrate_sl's always is,
+    since DOP853 would raise it with a warning.  Every stage, weight,
     error and interpolant sum is an np.dot (as ndarray.dot, the same call)
     on the same array layout, and the elementwise steps run in float
     arithmetic, so the nodes, states and dense output are bit-identical to
@@ -399,24 +406,26 @@ def _solve_piece(profile, r_lo, r_hi, y0, rtol, atol, prefix=None) -> _StackedDo
     """
     rhs = _checked_rhs(profile)
     func, isfinite = profile.func, math.isfinite
-    r_lo, r_hi = float(r_lo), float(r_hi)
-    solver = DOP853(rhs, r_lo, y0, r_hi, rtol=rtol, atol=atol)
-    rtol, atol = float(solver.rtol), float(solver.atol)
-    n, A, C, D = solver.n_stages, solver.A, solver.C.tolist(), solver.D
-    K = solver.K_extended  # stage derivatives, one (w', w'') row per stage
+    r_lo, r_hi, rtol, atol = float(r_lo), float(r_hi), float(rtol), float(atol)
+    n, A, C, D = dop853.N_STAGES, dop853.A, dop853.C.tolist(), dop853.D
+    K = np.empty((dop853.N_STAGES_EXTENDED, 2))  # one (w', w'') row per stage
     Kf = K.reshape(-1)  # the same memory, written one float at a time
     stages = [(2 * s, K[:s].T, A[s, :s], C[s]) for s in range(1, n)]
     extra = [(2 * s, K[:s].T, a[:s], c) for s, (a, c) in
-             enumerate(zip(solver.A_EXTRA, solver.C_EXTRA.tolist()), start=n + 1)]
-    KB, B = K[:n].T, solver.B
-    KE, E3, E5 = K[:n + 1].T, solver.E3, solver.E5
-    exponent = solver.error_exponent
+             enumerate(zip(dop853.A_EXTRA, dop853.C_EXTRA.tolist()), start=n + 1)]
+    KB, B = K[:n].T, dop853.B
+    KE, E3, E5 = K[:n + 1].T, dop853.E3, dop853.E5
+    exponent = dop853.ERROR_EXPONENT
     scale = np.empty(2)
 
-    t, h_abs = r_lo, float(solver.h_abs)
-    (w, wp), (f, fp) = solver.y.tolist(), solver.f.tolist()
+    t = r_lo
+    w, wp = float(y0[0]), float(y0[1])
+    if not (isfinite(w) and isfinite(wp)):  # DOP853's check; NaN steps never end
+        raise ValueError("All components of the initial state `y0` must be finite.")
+    f, fp = rhs(t, (w, wp))
+    h_abs = dop853.initial_step(rhs, t, (w, wp), (f, fp), r_hi, rtol, atol)
     ts, y_olds, F_low, F_high = [t], [], [], []
-    h_next, rejected_steps, nfev = [h_abs], [], solver.nfev
+    h_next, rejected_steps, nfev = [h_abs], [], 2
     j = 0 if prefix is None else prefix.shared_steps(h_abs, r_hi)
     if j:  # enter the loop at node j of the prefix
         ts, h_next = prefix.ts[:j + 1].tolist(), prefix.h_next[:j + 1].tolist()
@@ -549,6 +558,88 @@ def _dense_defect(profile, piece, tol, floor_first, floor_last) -> float:
     return float((np.abs(dy[..., 1] / hs + bw) / (tol * (np.abs(bw) + 1.0))).max())
 
 
+#: scipy.optimize.brentq's smallest rtol, 4 eps.
+_BRENT_RTOL = 4 * _EPS
+
+
+def _brentq(f, a, b, xtol, rtol=_BRENT_RTOL, maxiter=100):
+    """scipy.optimize.brentq(f, a, b, xtol=xtol, rtol=rtol, maxiter=maxiter),
+    ported from scipy's brentq.c and its Python wrapper.
+
+    f is called at the same Python floats in the same order and the root
+    has the same bits; the refusals are scipy's, with its messages: a bad
+    xtol or rtol, a NaN value of f (ValueError, raised at once), f(a) and
+    f(b) of one sign (ValueError) and no convergence within maxiter
+    iterations (RuntimeError).  An exact zero of f(a), then of f(b), is
+    returned before the signs are compared.  maxiter must be >= 0; scipy's
+    ValueError for a negative one is not repeated.
+    """
+    if xtol <= 0:
+        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
+    if rtol < _BRENT_RTOL:
+        raise ValueError(f"rtol too small ({rtol:g} < {_BRENT_RTOL:g})")
+
+    def value(x):
+        fx = f(x)
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return float(fx)
+
+    xpre, xcur, xtol, rtol = float(a), float(b), float(xtol), float(rtol)  # C doubles
+    fpre = value(xpre)
+    fcur = value(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate; only the product dblk * dpre can round to 0
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = _ieee_div(-fcur * (fblk * dblk - fpre * dpre),
+                                 dblk * dpre * (fblk - fpre))
+            short = 3 * abs(sbis) - delta
+            if 2 * abs(stry) < (abs(spre) if abs(spre) < short else short):
+                spre, scur = scur, stry  # a good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
+
+
+def _ieee_div(x: float, y: float) -> float:
+    """x / y with C's result for y == 0 (inf or NaN) where Python raises."""
+    try:
+        return x / y
+    except ZeroDivisionError:
+        if x == 0 or math.isnan(x):
+            return math.nan
+        return math.copysign(math.inf, x) * math.copysign(1.0, y)
+
+
 def _polish_zeros(fun, grid, vals, tol, lo_open):
     """Bracketed sign changes of vals refined on fun; skips the open left end.
 
@@ -571,9 +662,7 @@ def _polish_zeros(fun, grid, vals, tol, lo_open):
             out.append(grid[i + 1])
             continue
         xtol = 0.25 * tol * max(1.0, grid[i + 1])
-        out.append(
-            brentq(fun, grid[i], grid[i + 1], xtol=xtol, rtol=4 * np.finfo(float).eps)
-        )
+        out.append(_brentq(fun, grid[i], grid[i + 1], xtol))
     return np.asarray(out)
 
 
@@ -605,6 +694,9 @@ def integrate_sl(
     bit-identical to a fresh solve; solver_counts()["reused"] counts the
     steps taken over.
     """
+    if not all(map(math.isfinite, (r_start, r_end, w0, w0p))):
+        raise DomainMismatch(f"need finite (r_start, r_end, w0, w0p), "
+                             f"got ({r_start}, {r_end}, {w0}, {w0p})")
     if not r_start < r_end:
         raise DomainMismatch(f"need r_start < r_end, got [{r_start}, {r_end}]")
     if not 1e-13 <= tol <= 1e-3:
@@ -705,6 +797,18 @@ def find_second_zero(
         r_searched=float(r_max),
         trajectory=traj,
     )
+
+
+def quad(*args, **kwargs):
+    """scipy.integrate.quad, imported when first called.
+
+    The quadratures of index_form and bifurcator.abresch_checks are the
+    only scipy calls behind sl_engine; importing scipy costs more than a
+    certify, so the solve path never loads it.
+    """
+    from scipy.integrate import quad as scipy_quad
+
+    return scipy_quad(*args, **kwargs)
 
 
 @dataclass(frozen=True)

@@ -395,14 +395,40 @@ class TestDeterminism:
         assert gate.check() == []
 
 
+def scipy_modules_after(code):
+    """The scipy modules loaded once code has run in a fresh interpreter,
+    which prints them as its last line."""
+    code += "; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    src = str(Path(slboundary.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    done = subprocess.run([sys.executable, "-c", "import sys; " + code], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    return done.stdout.strip().splitlines()[-1]
+
+
 class TestImports:
     def test_package_planar_and_closed_form_load_no_scipy(self):
         # the package re-exports nothing, so these imports stay numpy-only
-        code = ("import sys, slboundary, slboundary.planar, slboundary.closed_form; "
-                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-        src = str(Path(slboundary.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                              text=True, timeout=120, check=True)
-        assert done.stdout.strip() == "[]", done.stdout
+        assert scipy_modules_after(
+            "import slboundary, slboundary.planar, slboundary.closed_form") == "[]"
+
+    def test_kick_chain_and_cli_load_no_scipy(self):
+        # the solver, Brent's method and the quadrature wrapper need no scipy
+        # until a quadrature runs; cli loads surfaces only for its commands
+        assert scipy_modules_after("import slboundary.kick, slboundary.sl_engine, "
+                                   "slboundary.bifurcator, slboundary.cli") == "[]"
+
+    @pytest.mark.parametrize("argv", [
+        ["lambda", "--r0", "1", "--a", E_STR, "--b", E2_STR],
+        ["certify", "--profile", "f0-kick", "--n", "2", "--a", E_STR, "--b", E2_STR,
+         "--mu", "0.95", "--r-max", "1e6"],
+        ["curve", "--family", "parabola-kick", "--k", "20", "--t=-0.3:0.3:0.05",
+         "--window", "100"],
+    ], ids=["lambda", "certify", "curve"])
+    def test_readme_commands_run_without_scipy(self, argv):
+        code = ("import contextlib, io; from slboundary import cli\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                f"    code = cli.main({argv + ['--json', '--no-meta']!r})\n"
+                "assert code == 0, code")
+        assert scipy_modules_after(code) == "[]"

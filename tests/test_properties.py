@@ -9,8 +9,12 @@ scipy's stepping, so solve_ivp(method="DOP853", dense_output=True) is its
 reference: the same nodes, end state, per-segment interpolation data and
 typed errors, bit for bit, and the stacked evaluator against
 OdeSolution.__call__.  A scipy release that changes its stepping fails
-here, not in a certificate.  The bracket scan of _polish_zeros must make
-the brentq calls of the node-by-node loop it replaced, in the same order.
+here, not in a certificate.  The loop's tableau must be DOP853's class
+attributes, and its start (first right-hand side, initial step, two
+evaluations) DOP853's own.  The bracket scan of _polish_zeros must make
+the brentq calls of the node-by-node loop it replaced, in the same order,
+and the Brent port must call f at the points scipy.optimize.brentq calls
+it at and return or refuse as brentq does.
 
 The closed-form second zero must match a bracket-and-brentq scan of the
 kicked solution at depths 0-2, equal the old depth-0 formula bit for bit
@@ -28,17 +32,17 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853, solve_ivp
 from scipy.optimize import brentq
 
 from slboundary import closed_form as cf
-from slboundary import kick
+from slboundary import dop853, kick
 from slboundary import surfaces as sf
 from slboundary.bifurcator import arctan_profile
 from slboundary.errors import (DomainError, InvalidShell, NoSecondZero, NonFiniteCoefficient,
                                StepUnderflow)
-from slboundary.sl_engine import (_TINY_SIGN, CurvatureProfile, _checked_rhs, _polish_zeros,
-                                  _solve_piece, _solver_tolerances, integrate_sl)
+from slboundary.sl_engine import (_TINY_SIGN, CurvatureProfile, _brentq, _checked_rhs,
+                                  _polish_zeros, _solve_piece, _solver_tolerances, integrate_sl)
 
 PROPS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -353,15 +357,85 @@ class TestDop853Loop:
         assert int(m.group(2)) == len(sol.t) - 1
 
 
+class TestDop853Start:
+    TABLEAU = ("A", "B", "C", "D", "E3", "E5", "A_EXTRA", "C_EXTRA")
+
+    def test_tableau_is_scipys(self):
+        """Same bits, and the same shapes and strides, so the loop's dot
+        products sum the same floats in the same memory order."""
+        for name in self.TABLEAU:
+            mine, theirs = getattr(dop853, name), getattr(DOP853, name)
+            assert same_bits(mine, theirs), name
+            assert mine.strides == theirs.strides, name
+        assert dop853.N_STAGES == DOP853.n_stages
+        assert dop853.ERROR_EXPONENT == -1 / (DOP853.error_estimator_order + 1)
+
+    @staticmethod
+    def start(prof, lo, hi, y0, rtol, atol):
+        """(f, h_abs, radii) of the ported start, and what DOP853 sets."""
+        rhs = _checked_rhs(prof)
+        radii = []
+
+        def counted(r, y):
+            radii.append(r)
+            return rhs(r, y)
+
+        f0 = counted(lo, y0)
+        h_abs = dop853.initial_step(counted, lo, y0, f0, hi, rtol, atol)
+        solver = DOP853(rhs, lo, y0, hi, rtol=rtol, atol=atol)
+        return (f0, h_abs, radii), (solver.f, solver.h_abs, solver.nfev)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(smooth_problems(), st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)))
+    def test_start_is_scipys(self, problem, drawn):
+        """First f, h_abs and nfev == 2, from the problem's start and from a
+        drawn one (two nonzero components, where the np.dot of the norms
+        rounds unlike x*x + y*y); the probe radius is a Python float.
+        TestDop853Loop checks that the pieces step on from it."""
+        prof, lo, hi, tol, w0, w0p = problem
+        for y0 in (drawn, (w0, w0p)):
+            rtol, atol = _solver_tolerances(tol, lo, hi, *y0)
+            (f0, h_abs, radii), (f_ref, h_ref, nfev_ref) = self.start(
+                prof, lo, hi, y0, rtol, atol)
+            assert same_bits(f0, f_ref)
+            assert bits(h_abs) == bits(h_ref)
+            assert len(radii) == nfev_ref == 2
+            assert [type(r) for r in radii] == [float, float]
+
+    @pytest.mark.parametrize("b, y0", [
+        (0.0, (1.0, 0.0)),  # f0 = 0: d1 < 1e-5, and d1, d2 <= 1e-15
+        (1e-30, (0.0, 1e-300)),  # d0 < 1e-5
+        (1.0, (0.0, 0.0)),  # the zero solution
+        (1e140, (1.0, 0.0)),  # the norm of f0 overflows: h0 = 0, d2 = 0 / 0
+        (1e300, (1e10, 0.0)),  # f0 = -inf
+    ])
+    def test_start_branches(self, b, y0):
+        prof = CurvatureProfile(func=lambda r: b)
+        with np.errstate(over="ignore", invalid="ignore"):
+            (f0, h_abs, radii), (f_ref, h_ref, nfev_ref) = self.start(
+                prof, 0.0, 1.0, y0, 1e-12, 1e-20)
+        assert same_bits(f0, f_ref) and bits(h_abs) == bits(h_ref)
+        assert len(radii) == nfev_ref == 2
+
+    @pytest.mark.parametrize("y0", [(math.nan, 1.0), (0.0, math.inf), (-math.inf, 0.0)])
+    def test_non_finite_start_refused_as_scipy(self, y0):
+        """A piece never starts from a non-finite state: the step would be NaN
+        and the loop would not end.  integrate_sl refuses such start data
+        itself (DomainMismatch); a piece raises DOP853's ValueError."""
+        prof = CurvatureProfile(func=wavy)
+        want = raised(lambda y: reference_piece(prof, 0.0, 1.0, y, 1e-8, 1e-16), y0)
+        assert want is not None and want[0] is ValueError
+        assert raised(lambda y: _solve_piece(prof, 0.0, 1.0, y, 1e-8, 1e-16), y0) == want
+
+
 def wavy(r):
     return 1.0 + 0.5 * math.sin(r)
 
 
 class TestInlineStages:
     def test_loop_passes_python_floats(self):
-        """Every radius the step loop evaluates is a Python float.  Of each
-        piece's evaluations the first two are DOP853's start: b at r_lo and
-        the probe of select_initial_step, whose radius is scipy's."""
+        """Every radius a solve evaluates is a Python float, the start's
+        two (b at r_lo and the initial-step probe) included."""
         calls = []
 
         def func(r):
@@ -371,11 +445,7 @@ class TestInlineStages:
         traj = integrate_sl(CurvatureProfile(func=func, breakpoints=(3.0, 7.0)),
                             0.0, 0.0, 1.0, 10.0, 1e-9)
         assert len(calls) == traj.solver_counts()["nfev"]
-        start = 0
-        for _, _, piece in traj.dense.pieces:
-            mine = [calls[start]] + calls[start + 2:start + piece.nfev]
-            assert set(mine) == {float}
-            start += piece.nfev
+        assert set(calls) == {float}
 
     @pytest.mark.parametrize("which", [0.3, 0.7, 1.0])
     def test_same_refusal_on_nan_inside_one_step(self, which):
@@ -501,6 +571,81 @@ class TestPolishZeros:
             assert got == want
         else:
             assert got.tobytes() == want.tobytes()
+
+
+# Signed zeros, NaN, the ends of float range and plain values.
+BRENT_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, math.nan, 5e-324, -5e-324, 1e-300, -1e-300, 1e300, -1e300]),
+    st.floats(-10.0, 10.0),
+)
+
+
+def brent_outcome(solver, f, a, b, xtol, rtol, maxiter):
+    """(root bits or (exception type, message), bits of every point f saw)."""
+    calls = []
+
+    def counted(x):
+        calls.append(bits(x))
+        return f(x)
+
+    try:
+        got = bits(solver(counted, a, b, xtol=xtol, rtol=rtol, maxiter=maxiter))
+    except (ValueError, RuntimeError) as exc:
+        got = (type(exc), str(exc))
+    return got, calls
+
+
+class TestBrentq:
+    """_brentq against scipy.optimize.brentq: the same calls in the same
+    order, the same root bits, the same exception type and message."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.lists(BRENT_VALUES, min_size=2, max_size=12),
+           st.lists(st.floats(1e-3, 5.0), min_size=11, max_size=11),
+           st.booleans(), st.floats(-15.0, 0.0), st.sampled_from([1.0, 3.0, 1e3]),
+           st.sampled_from([0, 1, 2, 3, 5, 100]))
+    def test_same_as_scipy(self, vals, steps, reverse, log_xtol, rtol_factor, maxiter):
+        grid = np.concatenate([[0.0], np.cumsum(steps[:len(vals) - 1])])
+        a, b = (grid[-1], grid[0]) if reverse else (grid[0], grid[-1])
+        xtol, rtol = 10.0 ** log_xtol, rtol_factor * 4 * np.finfo(float).eps
+
+        def f(x):
+            return float(np.interp(x, grid, vals))
+
+        want = brent_outcome(brentq, f, a, b, xtol, rtol, maxiter)
+        assert brent_outcome(_brentq, f, a, b, xtol, rtol, maxiter) == want
+
+    @pytest.mark.parametrize("name, f, a, b, maxiter, kind", [
+        ("f(a) = +0", lambda x: x, 0.0, 1.0, 100, "root"),
+        ("f(a) = -0", lambda x: -0.0 * x - 0.0, 1.0, 2.0, 100, "root"),
+        ("f(b) = -0 after f(a) > 0", lambda x: -0.0 if x == 2.0 else 1.0, 1.0, 2.0, 100, "root"),
+        ("NaN at a", lambda x: math.nan, 0.0, 1.0, 100, "NaN"),
+        ("NaN at b", lambda x: math.nan if x == 1.0 else -1.0, 0.0, 1.0, 100, "NaN"),
+        ("NaN inside", lambda x: math.nan if 0.0 < x < 1.0 else x - 0.5, 0.0, 1.0, 100, "NaN"),
+        ("same sign", lambda x: x * x + 1.0, -1.0, 1.0, 100, "signs"),
+        ("same sign, signed zero bracket", lambda x: -1.0 - x * x, -0.0, 0.0, 100, "signs"),
+        ("maxiter 0", lambda x: x - 0.3, 0.0, 1.0, 0, "converge"),
+        ("maxiter exhausted", lambda x: math.copysign(1.0, x - 1 / 3), 0.0, 1.0, 5, "converge"),
+        ("cubic", lambda x: x**3 - 2.0, 0.0, 2.0, 100, "root"),
+        # slopes near 1e-170: the extrapolation's dblk * dpre rounds to 0
+        ("divide by a zero product", lambda x: 1e-170 * (x**3 - 0.2), 0.0, 1.0, 100, "root"),
+        ("descending bracket", lambda x: math.atan(x - 0.7), 5.0, -3.0, 100, "root"),
+    ])
+    def test_edge_cases(self, name, f, a, b, maxiter, kind):
+        want = brent_outcome(brentq, f, a, b, 1e-12, 4 * np.finfo(float).eps, maxiter)
+        assert brent_outcome(_brentq, f, a, b, 1e-12, 4 * np.finfo(float).eps, maxiter) == want
+        expect = {"root": bytes, "NaN": "solver cannot continue",
+                  "signs": "must have different signs", "converge": "Failed to converge"}[kind]
+        if kind == "root":
+            assert isinstance(want[0], bytes), name
+        else:
+            assert expect in want[0][1], name
+
+    @pytest.mark.parametrize("xtol, rtol", [(0.0, 1e-10), (-1.0, 1e-10), (1e-12, 1e-16)])
+    def test_bad_tolerances(self, xtol, rtol):
+        want = brent_outcome(brentq, math.sin, 3.0, 4.0, xtol, rtol, 100)
+        assert want[0][0] is ValueError and want[1] == []
+        assert brent_outcome(_brentq, math.sin, 3.0, 4.0, xtol, rtol, 100) == want
 
 
 def second_zero_k0_reference(mu, a, b):

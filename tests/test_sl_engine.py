@@ -156,6 +156,20 @@ class TestIntegrate:
         with pytest.raises(DomainMismatch):
             integrate_sl(const_profile(1.0), 0.0, 0.0, 1.0, 2.0, 1e-2)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("which", range(4))
+    def test_non_finite_start_data_refused(self, which, bad):
+        """r_start, w0, w0p or r_end NaN or inf: DomainMismatch before the
+        coefficient is evaluated (a NaN state gave an untyped ValueError,
+        and r_end = inf a NonFiniteCoefficient near r = 1e308)."""
+        radii = []
+        prof = CurvatureProfile(func=lambda r: radii.append(r) or 1.0, label="counted")
+        args = [0.0, 0.0, 1.0, 2.0]  # r_start, w0, w0p, r_end
+        args[which] = bad
+        with pytest.raises(DomainMismatch, match="need finite"):
+            integrate_sl(prof, *args, 1e-9)
+        assert radii == [] and prof._solves == {}
+
 
 def _bumped_arctan():
     ar = arctan_profile()
