@@ -558,26 +558,19 @@ def _dense_defect(profile, piece, tol, floor_first, floor_last) -> float:
     return float((np.abs(dy[..., 1] / hs + bw) / (tol * (np.abs(bw) + 1.0))).max())
 
 
-#: scipy.optimize.brentq's smallest rtol, 4 eps.
-_BRENT_RTOL = 4 * _EPS
-
-
-def _brentq(f, a, b, xtol, rtol=_BRENT_RTOL, maxiter=100):
-    """scipy.optimize.brentq(f, a, b, xtol=xtol, rtol=rtol, maxiter=maxiter),
-    ported from scipy's brentq.c and its Python wrapper.
+def _brentq(f, a, b, xtol, maxiter=100):
+    """scipy.optimize.brentq(f, a, b, xtol=xtol, maxiter=maxiter) at its
+    default rtol of 4 eps, ported from scipy's brentq.c and its Python wrapper.
 
     f is called at the same Python floats in the same order and the root
-    has the same bits; the refusals are scipy's, with its messages: a bad
-    xtol or rtol, a NaN value of f (ValueError, raised at once), f(a) and
-    f(b) of one sign (ValueError) and no convergence within maxiter
-    iterations (RuntimeError).  An exact zero of f(a), then of f(b), is
-    returned before the signs are compared.  maxiter must be >= 0; scipy's
-    ValueError for a negative one is not repeated.
+    has the same bits; the refusals are scipy's, with its messages: a NaN
+    value of f (ValueError, raised at once), f(a) and f(b) of one sign
+    (ValueError) and no convergence within maxiter iterations
+    (RuntimeError).  An exact zero of f(a), then of f(b), is returned
+    before the signs are compared.  xtol must be positive and maxiter
+    >= 0; scipy's ValueErrors for other values are not repeated.
     """
-    if xtol <= 0:
-        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
-    if rtol < _BRENT_RTOL:
-        raise ValueError(f"rtol too small ({rtol:g} < {_BRENT_RTOL:g})")
+    rtol = 4 * _EPS
 
     def value(x):
         fx = f(x)
@@ -585,7 +578,7 @@ def _brentq(f, a, b, xtol, rtol=_BRENT_RTOL, maxiter=100):
             raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
         return float(fx)
 
-    xpre, xcur, xtol, rtol = float(a), float(b), float(xtol), float(rtol)  # C doubles
+    xpre, xcur, xtol = float(a), float(b), float(xtol)  # C doubles
     fpre = value(xpre)
     fcur = value(xcur)
     if fpre == 0:

@@ -580,8 +580,9 @@ BRENT_VALUES = st.one_of(
 )
 
 
-def brent_outcome(solver, f, a, b, xtol, rtol, maxiter):
-    """(root bits or (exception type, message), bits of every point f saw)."""
+def brent_outcome(solver, f, a, b, xtol, maxiter):
+    """(root bits or (exception type, message), bits of every point f saw),
+    at brentq's default rtol of 4 eps."""
     calls = []
 
     def counted(x):
@@ -589,7 +590,7 @@ def brent_outcome(solver, f, a, b, xtol, rtol, maxiter):
         return f(x)
 
     try:
-        got = bits(solver(counted, a, b, xtol=xtol, rtol=rtol, maxiter=maxiter))
+        got = bits(solver(counted, a, b, xtol=xtol, maxiter=maxiter))
     except (ValueError, RuntimeError) as exc:
         got = (type(exc), str(exc))
     return got, calls
@@ -602,18 +603,17 @@ class TestBrentq:
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(st.lists(BRENT_VALUES, min_size=2, max_size=12),
            st.lists(st.floats(1e-3, 5.0), min_size=11, max_size=11),
-           st.booleans(), st.floats(-15.0, 0.0), st.sampled_from([1.0, 3.0, 1e3]),
-           st.sampled_from([0, 1, 2, 3, 5, 100]))
-    def test_same_as_scipy(self, vals, steps, reverse, log_xtol, rtol_factor, maxiter):
+           st.booleans(), st.floats(-15.0, 0.0), st.sampled_from([0, 1, 2, 3, 5, 100]))
+    def test_same_as_scipy(self, vals, steps, reverse, log_xtol, maxiter):
         grid = np.concatenate([[0.0], np.cumsum(steps[:len(vals) - 1])])
         a, b = (grid[-1], grid[0]) if reverse else (grid[0], grid[-1])
-        xtol, rtol = 10.0 ** log_xtol, rtol_factor * 4 * np.finfo(float).eps
+        xtol = 10.0 ** log_xtol
 
         def f(x):
             return float(np.interp(x, grid, vals))
 
-        want = brent_outcome(brentq, f, a, b, xtol, rtol, maxiter)
-        assert brent_outcome(_brentq, f, a, b, xtol, rtol, maxiter) == want
+        want = brent_outcome(brentq, f, a, b, xtol, maxiter)
+        assert brent_outcome(_brentq, f, a, b, xtol, maxiter) == want
 
     @pytest.mark.parametrize("name, f, a, b, maxiter, kind", [
         ("f(a) = +0", lambda x: x, 0.0, 1.0, 100, "root"),
@@ -632,20 +632,14 @@ class TestBrentq:
         ("descending bracket", lambda x: math.atan(x - 0.7), 5.0, -3.0, 100, "root"),
     ])
     def test_edge_cases(self, name, f, a, b, maxiter, kind):
-        want = brent_outcome(brentq, f, a, b, 1e-12, 4 * np.finfo(float).eps, maxiter)
-        assert brent_outcome(_brentq, f, a, b, 1e-12, 4 * np.finfo(float).eps, maxiter) == want
+        want = brent_outcome(brentq, f, a, b, 1e-12, maxiter)
+        assert brent_outcome(_brentq, f, a, b, 1e-12, maxiter) == want
         expect = {"root": bytes, "NaN": "solver cannot continue",
                   "signs": "must have different signs", "converge": "Failed to converge"}[kind]
         if kind == "root":
             assert isinstance(want[0], bytes), name
         else:
             assert expect in want[0][1], name
-
-    @pytest.mark.parametrize("xtol, rtol", [(0.0, 1e-10), (-1.0, 1e-10), (1e-12, 1e-16)])
-    def test_bad_tolerances(self, xtol, rtol):
-        want = brent_outcome(brentq, math.sin, 3.0, 4.0, xtol, rtol, 100)
-        assert want[0][0] is ValueError and want[1] == []
-        assert brent_outcome(_brentq, math.sin, 3.0, 4.0, xtol, rtol, 100) == want
 
 
 def second_zero_k0_reference(mu, a, b):
