@@ -28,6 +28,11 @@ CLASS_INCONCLUSIVE = "Inconclusive"
 UNBOUNDED_CAP = 1e6
 #: classify: the dyadic Cauchy tail must fall below this fraction of w(r_max).
 TAIL_TOL_REL = 1e-4
+#: abresch_checks (a): widest ratio of a moment panel's ends, the first panel
+#: edge of a block that starts at 0 relative to the block's end, and quad's rtol.
+MOMENT_PANEL_RATIO = 1.5
+MOMENT_FLOOR = 1e-10
+MOMENT_RTOL = 1e-10
 
 
 def arctan_profile() -> CurvatureProfile:
@@ -136,6 +141,22 @@ def classify(
     )
 
 
+def _moment_panels(a: float, c: float, cuts) -> np.ndarray:
+    """Edges of geometric panels at most MOMENT_PANEL_RATIO wide from a to c,
+    split again at the cuts inside (a, c).
+
+    A block that starts at 0 gets the panel [0, MOMENT_FLOOR * c] and
+    geometric panels from there on; the first holds a fraction of about
+    MOMENT_FLOOR^2 of the block's moment when b is bounded near 0.
+    """
+    first = a if a > 0.0 else MOMENT_FLOOR * c
+    n = max(1, math.ceil(math.log(c / first) / math.log(MOMENT_PANEL_RATIO)))
+    edges = np.geomspace(first, c, n + 1)
+    if first != a:
+        edges = np.concatenate([[a], edges])
+    return np.union1d(edges, [x for x in cuts if a < x < c])
+
+
 @dataclass(frozen=True)
 class AbreschReport:
     """Diagnostics for the three structural properties of a bifurcator profile."""
@@ -153,7 +174,9 @@ class AbreschReport:
 def abresch_checks(b: CurvatureProfile, r_max: float = 1e4, tol: float = 1e-9) -> AbreschReport:
     """Moment integral, limit derivative trend, and second-solution growth.
 
-    (a) int r b(r) dr over [r_min, r_max] by adaptive quadrature, with the
+    (a) int r b(r) dr over [r_min, r_max], block by block (the breakpoints
+        of b below r_max / 8, then the last three dyadic blocks), each by
+        sl_engine.quad on the block's _moment_panels to MOMENT_RTOL, with the
         ratio of the last two dyadic blocks as the tail-convergence estimate;
     (b) w'(r_max) and the log-log slope of w' over the last decade;
     (c) the reduction-of-order solution v = w int dr / w^2 started at
@@ -165,9 +188,10 @@ def abresch_checks(b: CurvatureProfile, r_max: float = 1e4, tol: float = 1e-9) -
     blocks = [r_max / 8.0, r_max / 4.0, r_max / 2.0, r_max]
     moment = 0.0
     vals = []
-    pieces = [lo] + [x for x in sorted(b.breakpoints) if lo < x < blocks[0]] + blocks
+    cuts = sorted(x for x in b.breakpoints if lo < x < r_max)
+    pieces = [lo] + [x for x in cuts if x < blocks[0]] + blocks
     for a, c in zip(pieces[:-1], pieces[1:]):
-        v, _ = quad(lambda r: r * b(r), a, c, epsabs=1e-12, epsrel=1e-10, limit=300)
+        v = quad(lambda r: r * b.values(r), _moment_panels(a, c, cuts), MOMENT_RTOL)
         vals.append(v)
         moment += v
     tail_ratio = vals[-1] / vals[-2] if vals[-2] != 0.0 else math.inf

@@ -9,8 +9,9 @@ module ports, so nodes, states and dense output are bit-identical to
 solve_ivp(method="DOP853", dense_output=True) while each step costs less;
 it writes every accepted step's interpolation data straight into the
 stacked dense output.  Zeros and extrema are polished with a port of
-scipy.optimize.brentq.  So a solve imports numpy alone; only the index
-form's quadrature loads scipy, when it runs.
+scipy.optimize.brentq, and the index form is integrated by quad, an
+8-point Gauss-Legendre rule on the accepted steps.  So the module imports
+numpy alone.
 
 The dense output is the trajectory's one interpolant.  Its grid is the
 accepted solver nodes; zeros and extrema are bracketed on that grid and
@@ -51,6 +52,8 @@ ORIGIN_EPS = 1e-6
 DOMINANCE_RTOL = 1e-12
 #: Simpson panels per breakpoint segment in picone_residual.
 PICONE_PANELS = 1200
+#: Most passes of quad: an interval is halved at most QUAD_LEVELS - 1 times.
+QUAD_LEVELS = 12
 # scipy's step-size controller constants (scipy/integrate/_ivp/rk.py)
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
 
@@ -479,7 +482,9 @@ def _solve_piece(profile, r_lo, r_hi, y0, rtol, atol, prefix=None) -> _StackedDo
                 error_norm = 0.0
             else:
                 denom = err5_norm_2 + 0.01 * err3_norm_2
-                error_norm = abs(h) * err5_norm_2 / math.sqrt(denom * 2)
+                # 0 / 0 when 0.01 * err3_norm_2 underflows: NaN, as scipy's
+                # numpy floats give, so the step is rejected
+                error_norm = _ieee_div(abs(h) * err5_norm_2, math.sqrt(denom * 2))
 
             if error_norm < 1:
                 if error_norm == 0:
@@ -520,8 +525,9 @@ def _solve_piece(profile, r_lo, r_hi, y0, rtol, atol, prefix=None) -> _StackedDo
 
 
 _EPS = float(np.finfo(float).eps)
-#: 8-point Gauss-Legendre nodes on [0, 1]
-_GAUSS_X = 0.5 * (1.0 + np.polynomial.legendre.leggauss(8)[0])
+_LEGGAUSS = np.polynomial.legendre.leggauss(8)
+#: 8-point Gauss-Legendre nodes and weights on [0, 1]
+_GAUSS_X, _GAUSS_W = 0.5 * (1.0 + _LEGGAUSS[0]), 0.5 * _LEGGAUSS[1]
 
 
 def _dense_defect(profile, piece, tol, floor_first, floor_last) -> float:
@@ -792,16 +798,44 @@ def find_second_zero(
     )
 
 
-def quad(*args, **kwargs):
-    """scipy.integrate.quad, imported when first called.
+def _gauss(f, lo, hi):
+    """The 8-point Gauss-Legendre rule on each interval [lo[i], hi[i]], with
+    one call of f on all the nodes: (int f, int |f|) per interval."""
+    h = hi - lo
+    nodes = lo[:, None] + h[:, None] * _GAUSS_X
+    vals = np.asarray(f(nodes.ravel()), dtype=float).reshape(nodes.shape)
+    return vals.dot(_GAUSS_W) * h, np.abs(vals).dot(_GAUSS_W) * h
 
-    The quadratures of index_form and bifurcator.abresch_checks are the
-    only scipy calls behind sl_engine; importing scipy costs more than a
-    certify, so the solve path never loads it.
+
+def quad(f, edges, rtol: float) -> float:
+    """int f dr over [edges[0], edges[-1]] by the 8-point Gauss-Legendre rule,
+    each interval between consecutive edges taken whole and as its two
+    halves.
+
+    f is called with the float array of the nodes (_GAUSS_X on each
+    interval and half, never an edge) and must return an array of the
+    same shape.  The rule is exact for polynomials of degree <= 15, so
+    edges belong where f is not smooth: at a coefficient's breakpoints
+    and, along a trajectory, at its solver nodes, between which the dense
+    output is a polynomial.  An interval whose halves sum to within
+    rtol * int |f| of the whole contributes its halves; the others are
+    split into their halves and taken again, at most QUAD_LEVELS times.
+    So a smooth f is one call, and each further pass is one more.
+    index_form and bifurcator.abresch_checks look the rule up as their
+    module's global quad, the name bench/tracing.py wraps in each module.
     """
-    from scipy.integrate import quad as scipy_quad
-
-    return scipy_quad(*args, **kwargs)
+    edges = np.asarray(edges, dtype=float)
+    lo, hi = edges[:-1], edges[1:]
+    total = 0.0
+    for level in range(QUAD_LEVELS):
+        n, mid = len(lo), 0.5 * (lo + hi)
+        part, size = _gauss(f, np.concatenate([lo, lo, mid]), np.concatenate([hi, mid, hi]))
+        halves = part[n:2 * n] + part[2 * n:]
+        bad = np.abs(halves - part[:n]) > rtol * (size[n:2 * n] + size[2 * n:])
+        if level == QUAD_LEVELS - 1 or not bad.any():
+            return float(total + halves.sum())
+        total += halves[~bad].sum()
+        lo, hi = np.concatenate([lo[bad], mid[bad]]), np.concatenate([mid[bad], hi[bad]])
 
 
 @dataclass(frozen=True)
@@ -828,26 +862,25 @@ def index_form(inp: IndexFormInput) -> float:
 
     Strictly negative whenever ric exceeds (n-1) times the trajectory's own
     coefficient pointwise; zero in the equality case by the boundary identity.
+    The integrand is summed by quad on the trajectory's accepted solver
+    steps, split again at the breakpoints of ric inside (r_start, r_end),
+    to the solver's rtol: between two nodes the dense output is a
+    polynomial of degree 7, so (y')^2 is integrated exactly, and ric, read
+    with ric.values, is read only strictly inside the intervals, never
+    across a jump; a step where ric is not smooth is halved.
     """
     y = inp.y
     if inp.ric.r_min > y.r_start:
         raise DomainMismatch(
             f"ric profile starts at {inp.ric.r_min}, needed from {y.r_start}"
         )
-    qtol = max(1e-12, 0.01 * y.tol)
+    cuts = [x for x in inp.ric.breakpoints if y.r_start < x < y.r_end]
 
-    def kinetic(r):
-        return y.evaluate(r)[1] ** 2
+    def integrand(r):
+        w, wp = y.evaluate(r)
+        return (inp.n - 1) * wp**2 - inp.ric.values(r) * w**2
 
-    def potential(r):
-        return inp.ric(r) * y.evaluate(r)[0] ** 2
-
-    pts = y.grid[:: max(1, len(y.grid) // 40)][1:-1]
-    k, _ = quad(kinetic, y.r_start, y.r_end, epsabs=qtol, epsrel=qtol,
-                points=pts, limit=400)
-    p, _ = quad(potential, y.r_start, y.r_end, epsabs=qtol, epsrel=qtol,
-                points=pts, limit=400)
-    return (inp.n - 1) * k - p
+    return quad(integrand, np.union1d(y.grid, cuts), _solver_rtol(y.tol))
 
 
 @dataclass(frozen=True)

@@ -95,6 +95,30 @@ class TestAbresch:
         assert rep.independent_solution_value > 1e3
         assert rep.wronskian_drift <= 1e-6
 
+    @pytest.mark.parametrize("r_max", [10.0, 1e3, 1e4])
+    def test_moment_matches_closed_form(self, r_max):
+        # int r / (1 + r^2)^2 dr = [-1 / (2 (1 + r^2))]
+        prof = CurvatureProfile(func=lambda r: 1.0 / (1.0 + np.asarray(r) ** 2) ** 2,
+                                label="inverse-square-squared")
+
+        def moment(a, c):
+            return 0.5 / (1.0 + a * a) - 0.5 / (1.0 + c * c)
+
+        rep = bf.abresch_checks(prof, r_max=r_max, tol=1e-9)
+        assert_allclose(rep.moment_integral, moment(0.0, r_max), rtol=1e-14)
+        assert_allclose(rep.moment_tail_ratio,
+                        moment(r_max / 2, r_max) / moment(r_max / 4, r_max / 2), rtol=1e-12)
+
+    def test_moment_panels(self):
+        # geometric panels at most 1.5x wide, split at the cuts inside the block
+        edges = bf._moment_panels(2.0, 100.0, [1.0, 7.0, 100.0])
+        assert edges[0] == 2.0 and edges[-1] == 100.0 and 7.0 in edges
+        assert np.all(edges[1:] / edges[:-1] <= 1.5 * (1 + 1e-12))
+        # from 0: one panel to MOMENT_FLOOR times the end, then geometric
+        edges = bf._moment_panels(0.0, 1250.0, [])
+        assert edges[0] == 0.0 and edges[1] == bf.MOMENT_FLOOR * 1250.0
+        assert np.all(edges[2:] / edges[1:-1] <= 1.5 * (1 + 1e-12))
+
     @pytest.mark.parametrize("cut", [1e4, 5e4])
     def test_breakpoint_at_or_past_r_max_is_ignored(self, cut):
         # a breakpoint at or past r_max used to start the reduction of
@@ -113,6 +137,34 @@ class TestAbresch:
         assert rep.independent_diverges
         assert_allclose(rep.independent_solution_value, plain.independent_solution_value,
                         rtol=1e-9)
+
+
+class TestQuadratureNames:
+    def test_index_form_and_abresch_call_the_module_names(self, monkeypatch):
+        """bench/tracing.py wraps sl_engine.quad, bifurcator.quad and
+        surfaces.quad by name: each caller must look its rule up there."""
+        from slboundary import surfaces
+
+        calls = {"sl_engine": 0, "bifurcator": 0}
+
+        def counting(module):
+            rule = module.quad
+
+            def quad(*args):
+                calls[module.__name__.rsplit(".", 1)[1]] += 1
+                return rule(*args)
+
+            return quad
+
+        monkeypatch.setattr(sl_engine, "quad", counting(sl_engine))
+        monkeypatch.setattr(bf, "quad", counting(bf))
+        one = const_profile(1.0)
+        traj = integrate_sl(one, 0.0, 0.0, 1.0, math.pi, 1e-9)
+        sl_engine.index_form(sl_engine.IndexFormInput(n=2, y=traj, ric=one))
+        assert calls == {"sl_engine": 1, "bifurcator": 0}
+        bf.abresch_checks(bf.arctan_profile(), r_max=1e3, tol=1e-9)
+        assert calls["sl_engine"] == 1 and calls["bifurcator"] == 4
+        assert callable(surfaces.quad)
 
 
 class TestBoundaryTest:

@@ -414,18 +414,26 @@ class TestImports:
             "import slboundary, slboundary.planar, slboundary.closed_form") == "[]"
 
     def test_kick_chain_and_cli_load_no_scipy(self):
-        # the solver, Brent's method and the quadrature wrapper need no scipy
-        # until a quadrature runs; cli loads surfaces only for its commands
+        # the solver, Brent's method and the quadrature need no scipy; cli
+        # loads surfaces only for its commands
         assert scipy_modules_after("import slboundary.kick, slboundary.sl_engine, "
                                    "slboundary.bifurcator, slboundary.cli") == "[]"
+
+    def test_index_form_loads_no_scipy(self):
+        code = ("from slboundary import sl_engine as se\n"
+                "one = se.CurvatureProfile(func=lambda r: 1.0 + 0.0 * r)\n"
+                "traj = se.integrate_sl(one, 0.0, 0.0, 1.0, 3.141592653589793, 1e-9)\n"
+                "assert abs(se.index_form(se.IndexFormInput(2, traj, one))) < 1e-8")
+        assert scipy_modules_after(code) == "[]"
 
     @pytest.mark.parametrize("argv", [
         ["lambda", "--r0", "1", "--a", E_STR, "--b", E2_STR],
         ["certify", "--profile", "f0-kick", "--n", "2", "--a", E_STR, "--b", E2_STR,
          "--mu", "0.95", "--r-max", "1e6"],
+        ["bifurcate", "--profile", "arctan-bifurcator", "--r-max", "1e4", "--abresch"],
         ["curve", "--family", "parabola-kick", "--k", "20", "--t=-0.3:0.3:0.05",
          "--window", "100"],
-    ], ids=["lambda", "certify", "curve"])
+    ], ids=["lambda", "certify", "bifurcate", "curve"])
     def test_readme_commands_run_without_scipy(self, argv):
         code = ("import contextlib, io; from slboundary import cli\n"
                 "with contextlib.redirect_stdout(io.StringIO()):\n"

@@ -356,6 +356,23 @@ class TestDop853Loop:
         assert float(m.group(1)) == sol.t[-1]
         assert int(m.group(2)) == len(sol.t) - 1
 
+    def test_same_underflow_on_vanishing_error_estimate(self):
+        """Where err5 is 0 and 0.01 * err3 underflows, scipy's error norm is
+        0 / 0 = NaN and the step is rejected; the loop stops with scipy's
+        step-size failure, at the same radius and step count."""
+        prof = kick.kicked_profile(cf.KickSpec(1.0, math.e, math.e**2, 0.5, 0))
+        lo, hi = math.e**2, 1e300
+        rtol, atol = _solver_tolerances(1e-9, 1.0, hi, 0.0, 1.0)
+        y0 = integrate_sl(prof, 1.0, 0.0, 1.0, lo, 1e-9).dense.pieces[-1][2].y_end
+        with np.errstate(invalid="ignore"):
+            sol = reference_piece(prof, lo, hi, y0, rtol, atol)
+        assert sol.status == -1 and "step size" in sol.message
+        with pytest.raises(StepUnderflow) as exc:
+            _solve_piece(prof, lo, hi, y0, rtol, atol)
+        m = re.search(r"at r = (\S+) after (\d+) accepted steps", str(exc.value))
+        assert float(m.group(1)) == sol.t[-1]
+        assert int(m.group(2)) == len(sol.t) - 1
+
 
 class TestDop853Start:
     TABLEAU = ("A", "B", "C", "D", "E3", "E5", "A_EXTRA", "C_EXTRA")

@@ -17,7 +17,8 @@ from slboundary import closed_form as cf
 from slboundary import kick, sl_engine
 from slboundary import surfaces as sf
 from slboundary.bifurcator import arctan_profile, boundary_test
-from slboundary.errors import DomainError, DomainMismatch, NonFiniteCoefficient, YVanished
+from slboundary.errors import (DomainError, DomainMismatch, NonFiniteCoefficient, StepUnderflow,
+                               ToolkitError, YVanished)
 from slboundary.sl_engine import (
     CurvatureProfile,
     IndexFormInput,
@@ -135,13 +136,20 @@ class TestIntegrate:
                 integrate_sl(bad, 0.0, 0.0, 1.0, 6.0, 1e-9)
 
     def test_pole_collapses_step(self):
-        from slboundary.errors import StepUnderflow
-
         pole = CurvatureProfile(func=lambda r: 1.0 / abs(r - 5.0), label="pole")
         with pytest.raises(StepUnderflow, match=r"on the piece \[4\.9, 5\.1\]") as exc:
             integrate_sl(pole, 4.9, 1.0, 0.0, 5.1, 1e-9)
         r = float(re.search(r"at r = (\S+) ", str(exc.value)).group(1))
         assert 4.9 < r <= 5.0
+
+    def test_vanishing_error_estimate_is_typed(self):
+        # err5 = 0 with 0.01 * err3 underflowing made the error norm 0 / 0,
+        # which raised ZeroDivisionError; it is NaN now and rejects the step
+        prof = kick.kicked_profile(cf.KickSpec(1.0, E, E**2, 0.5, 0))
+        with pytest.raises(ToolkitError) as exc:
+            integrate_sl(prof, 1.0, 0.0, 1.0, 1e300, 1e-9)
+        assert isinstance(exc.value, StepUnderflow)
+        assert "on the piece [7.3890560989306495, 1e+300]" in str(exc.value)
 
     def test_repeated_breakpoint_cuts_once(self):
         # a repeated breakpoint must not leave a zero-width piece
@@ -491,6 +499,51 @@ class TestFindSecondZero:
         assert_allclose(rscaled, r0 * runit, rtol=1e-8)
 
 
+class TestQuad:
+    @pytest.mark.parametrize("degree", range(16))
+    def test_polynomials_to_degree_15_are_exact_on_uneven_edges(self, degree):
+        poly = np.polynomial.Polynomial(np.random.default_rng(degree).normal(size=degree + 1))
+        edges = [-1.3, -1.1, 0.0, 0.05, 0.9, 2.4]
+        calls = []
+
+        def f(r):
+            calls.append(r.shape)
+            return poly(r)
+
+        exact = poly.integ()(edges[-1]) - poly.integ()(edges[0])
+        assert_allclose(sl_engine.quad(f, edges, 1e-13), exact, rtol=1e-13, atol=1e-13)
+        # each interval whole and as two halves, 8 nodes each, in one call
+        assert calls == [(24 * (len(edges) - 1),)]
+
+    def test_kink_is_halved_until_rtol(self):
+        # 1 + |r - 1/3| on [0, 1]: 1 + 1/18 + 2/9; the 8-point rule misses the kink
+        calls = []
+
+        def f(r):
+            calls.append(len(r))
+            return 1.0 + np.abs(r - 1.0 / 3.0)
+
+        exact = 23.0 / 18.0
+        val = sl_engine.quad(f, [0.0, 1.0], 1e-5)
+        print(f"kink: {len(calls)} passes, error {val - exact:.3g}")
+        assert abs(val - exact) <= 1e-5 * exact
+        assert 1 < len(calls) < sl_engine.QUAD_LEVELS
+        # one bad interval per pass: its two halves, each whole and halved again
+        assert calls[1:] == [48] * (len(calls) - 1)
+
+    def test_jump_stops_after_quad_levels(self):
+        # a jump inside an interval never meets rtol; the halving stops
+        calls = []
+
+        def f(r):
+            calls.append(len(r))
+            return np.where(r < 1.0 / 3.0, 0.0, 1.0)
+
+        val = sl_engine.quad(f, [0.0, 1.0], 1e-13)
+        assert len(calls) == sl_engine.QUAD_LEVELS
+        assert abs(val - 2.0 / 3.0) <= 2.0 ** -(sl_engine.QUAD_LEVELS - 1)
+
+
 class TestIndexForm:
     def test_equality_case_vanishes(self):
         prof = const_profile(1.0)
@@ -526,6 +579,50 @@ class TestIndexForm:
         assert val < 0.0
         # magnitude consistent with the 1% excess: |I| ~ 0.01 (n-1) int b y^2
         assert val < -1e-4
+
+    @pytest.mark.parametrize("n, ric_lo, ric_hi", [(2, 1.0, 1.0), (3, 2.5, 2.5),
+                                                  (2, 1.0, 1.3), (3, 0.5, 4.0)])
+    def test_sine_on_zero_to_pi_matches_closed_form(self, n, ric_lo, ric_hi):
+        # b = 1 on [0, pi], w = sin r: int cos^2 = pi / 2, int_a^c sin^2 =
+        # (c - a) / 2 - (sin 2c - sin 2a) / 4.  Where ric_lo != ric_hi, ric
+        # jumps in the middle of an accepted solver step.
+        traj = integrate_sl(const_profile(1.0), 0.0, 0.0, 1.0, math.pi, 1e-10)
+        i = len(traj.grid) // 2
+        jump = float(0.5 * (traj.grid[i] + traj.grid[i + 1]))
+        assert jump not in traj.grid
+        ric = CurvatureProfile(func=lambda r: np.where(np.asarray(r) < jump, ric_lo, ric_hi),
+                               label="step", breakpoints=(jump,))
+
+        def sin2(a, c):
+            return (c - a) / 2.0 - (math.sin(2.0 * c) - math.sin(2.0 * a)) / 4.0
+
+        exact = (n - 1) * math.pi / 2.0 - ric_lo * sin2(0.0, jump) - ric_hi * sin2(jump, math.pi)
+        val = index_form(IndexFormInput(n=n, y=traj, ric=ric))
+        print(f"n = {n}, ric {ric_lo} | {ric_hi}: {val!r} vs {exact!r}")
+        assert abs(val - exact) <= 1e-8
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_kicked_value_matches_adaptive_quadrature(self, n):
+        # acceptance #10's kicked case against scipy's adaptive quad of the
+        # same integrand on the pieces between the kick's breakpoints
+        from scipy.integrate import quad as scipy_quad
+
+        prof = kick.kicked_profile(cf.KickSpec(1.0, E, E**2, 1.5 * ROOT_COT, 0))
+        res = find_second_zero(prof, 1.0, 1e5, 1e-10)
+        traj = integrate_sl(prof, 1.0, 0.0, 1.0, res.r1, 1e-10)
+        ric = CurvatureProfile(func=lambda r: 1.01 * (n - 1) * prof.func(r), r_min=prof.r_min,
+                               label="ric-1pct", breakpoints=prof.breakpoints)
+
+        def integrand(r):
+            w, wp = traj.evaluate(r)
+            return (n - 1) * wp**2 - ric(r) * w**2
+
+        edges = [1.0, *prof.breakpoints, res.r1]
+        oracle = sum(scipy_quad(integrand, a, c, epsabs=0.0, epsrel=1e-13, limit=500)[0]
+                     for a, c in zip(edges[:-1], edges[1:]))
+        val = index_form(IndexFormInput(n=n, y=traj, ric=ric))
+        print(f"n = {n}: {val!r} vs scipy quad {oracle!r}")
+        assert_allclose(val, oracle, rtol=1e-9)
 
     def test_endpoint_invariant_enforced(self):
         traj = integrate_sl(const_profile(1.0), 0.0, 0.0, 1.0, 2.0, 1e-9)
