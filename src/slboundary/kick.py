@@ -25,7 +25,6 @@ from .closed_form import (
     critical_decay,
     critical_decay_float,
     critical_decay_terms,
-    second_zero_closed_form,
     shell_gaps,
     superpower,
 )
@@ -145,16 +144,6 @@ def remark_shell_note(k: int, r0: float, a: float, b: float) -> Optional[str]:
     if abs(math.log(b / a) - 1.0) < 1e-9 and abs(math.log(a / r0) - 1.0) < 1e-9:
         return _REMARK_NOTE
     return None
-
-
-def diameter_bound(spec: KickSpec, all_origins: bool = False) -> float:
-    """Diameter bound 2 r1 from the closed-form second zero, at any depth.
-
-    Returns r1 itself when the curvature hypotheses are asserted at every
-    origin.
-    """
-    r1 = second_zero_closed_form(spec)
-    return r1 if all_origins else 2.0 * r1
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Loading and minimal validation of the shipped certificate schema.
+"""Minimal validation against the shipped certificate schema.
 
 The validator covers exactly what the schema file promises (required keys,
 primitive types, the verdict enum, no stray fields) without pulling in an
@@ -20,14 +20,14 @@ _PRIMS = {
 }
 
 
-def load_schema() -> dict:
-    path = resources.files("slboundary").joinpath("schemas/certificate.schema.json")
-    return json.loads(path.read_text())
-
-
 def validate_certificate(doc: dict) -> list:
-    """Return a list of violations (empty when the document conforms)."""
-    schema = load_schema()
+    """Return a list of violations (empty when the document conforms).
+
+    Its users are the tests that hold the `certify` and `bifurcate` JSON
+    documents to the shipped schema.
+    """
+    path = resources.files("slboundary").joinpath("schemas/certificate.schema.json")
+    schema = json.loads(path.read_text())
     problems = []
     props = schema["properties"]
     for key in schema["required"]:

@@ -9,9 +9,10 @@ module ports, so nodes, states and dense output are bit-identical to
 solve_ivp(method="DOP853", dense_output=True) while each step costs less;
 it writes every accepted step's interpolation data straight into the
 stacked dense output.  Zeros and extrema are polished with a port of
-scipy.optimize.brentq, and the index form is integrated by quad, an
-8-point Gauss-Legendre rule on the accepted steps.  So the module imports
-numpy alone.
+scipy.optimize.brentq.  The index form is integrated by quad, an 8-point
+Gauss-Legendre rule on the accepted steps, and the Picone residual's
+integral by one pass of the same rule on the accepted steps of both
+solves.  So the module imports numpy alone.
 
 The dense output is the trajectory's one interpolant.  Its grid is the
 accepted solver nodes; zeros and extrema are bracketed on that grid and
@@ -50,8 +51,6 @@ _TINY_SIGN = 1e-300
 ORIGIN_EPS = 1e-6
 #: Relative slack of dominates(), taken on the smaller of the two magnitudes.
 DOMINANCE_RTOL = 1e-12
-#: Simpson panels per breakpoint segment in picone_residual.
-PICONE_PANELS = 1200
 #: Most passes of quad: an interval is halved at most QUAD_LEVELS - 1 times.
 QUAD_LEVELS = 12
 # scipy's step-size controller constants (scipy/integrate/_ivp/rk.py)
@@ -900,14 +899,17 @@ def picone_residual(
 ) -> PiconeReport:
     """Check the comparison identity between the solutions of b and c (c >= b).
 
-    Both solutions start from the same origin_start data, at the later of
-    the two profiles' starts.
-    I(r) accumulates int (c - b) w^2 plus int ((w' y - w y')/y)^2 by composite
-    Simpson, PICONE_PANELS panels per segment, with panel edges pinned to
-    the profiles' breakpoints so jumps in c - b never sit inside a panel;
-    the reported residual is the max over
-    nodes of |y'/y - w'/w + I/w^2|.  Raises YVanished if y hits zero inside
-    the window, which is the comparison theorem's conclusion, not a defect.
+    Both solutions start from the same origin_start data at r_lo, the later
+    of the two profiles' starts.  I(r) = int_{r_lo}^r (c - b) w^2 +
+    ((w' y - w y')/y)^2 is summed by the 8-point Gauss-Legendre rule (_gauss,
+    one pass) on the intervals between the accepted nodes of both solves,
+    which hold r_lo, r_max and every breakpoint of b and c between them, and
+    the read start r_lo + max(1e-3, 1e-4 (r_max - r_lo)).  The nodes never
+    touch an edge, so a jump of c - b on a breakpoint is read from each
+    side's own interval.  The reported residual is the max of
+    |y'/y - w'/w + I/w^2| over the edges from the read start on; the window
+    is (read start, r_max).  Raises YVanished if y hits zero inside the
+    window, which is the comparison theorem's conclusion, not a defect.
     """
     r_min = max(b.r_min, c.r_min)
     r_lo, w0, w0p = max(origin_start(b, r_min), origin_start(c, r_min))
@@ -919,36 +921,25 @@ def picone_residual(
             "shorten the window below that radius"
         )
 
-    # Start a hair inside the interval to dodge the removable 0/0 at r_lo.
+    # I is summed from r_lo, where it is 0; the identity is read from start
+    # on, clear of the removable 0/0 of y'/y and w'/w at r_lo.
     start = r_lo + max(1e-3, 1e-4 * (r_max - r_lo))
-    cuts = sorted(set(b.breakpoints) | set(c.breakpoints))
-    edges = [start] + [x for x in cuts if start < x < r_max] + [r_max]
+    edges = np.union1d(np.union1d(wtraj.grid, ytraj.grid), [start])
 
-    worst = (0.0, start)
-    integral = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        rs = np.linspace(lo, hi, 2 * PICONE_PANELS + 1)
-        w, wp = wtraj.evaluate(rs)
-        yv, yp = ytraj.evaluate(rs)
-        # Evaluate the coefficient difference a hair inside the segment so a
-        # jump sitting exactly on the edge is read from the correct side.
-        rs_in = rs.copy()
-        nudge = max(1e-12 * (hi - lo), 4.0 * np.spacing(hi))
-        rs_in[0] += nudge
-        rs_in[-1] -= nudge
-        f = (c.values(rs_in) - b.values(rs_in)) * w**2 + ((wp * yv - w * yp) / yv) ** 2
-        h = rs[1] - rs[0]
-        inc = (h / 3.0) * (f[:-2:2] + 4.0 * f[1:-1:2] + f[2::2])
-        cum = integral + np.concatenate([[0.0], np.cumsum(inc)])
-        even = slice(0, None, 2)
-        resid = np.abs(yp[even] / yv[even] - wp[even] / w[even] + cum / w[even] ** 2)
-        i = int(np.argmax(resid))
-        if resid[i] > worst[0]:
-            worst = (float(resid[i]), float(rs[even][i]))
-        integral = float(cum[-1])
+    def integrand(r):
+        w, wp = wtraj.evaluate(r)
+        yv, yp = ytraj.evaluate(r)
+        return (c.values(r) - b.values(r)) * w**2 + ((wp * yv - w * yp) / yv) ** 2
 
+    integral = np.concatenate([[0.0], np.cumsum(_gauss(integrand, edges[:-1], edges[1:])[0])])
+    read = edges >= start
+    rs = edges[read]
+    w, wp = wtraj.evaluate(rs)
+    yv, yp = ytraj.evaluate(rs)
+    resid = np.abs(yp / yv - wp / w + integral[read] / w**2)
+    i = int(np.argmax(resid))
     return PiconeReport(
-        residual=worst[0],
-        r_at_max=worst[1],
+        residual=float(resid[i]),
+        r_at_max=float(rs[i]),
         window=(float(start), float(r_max)),
     )

@@ -93,17 +93,6 @@ def paraboloid() -> RevolutionSurface:
     )
 
 
-def flat_disk() -> RevolutionSurface:
-    """z identically 0; geodesic radius equals rho."""
-    return RevolutionSurface(
-        z=lambda rho: 0.0,
-        dz=lambda rho: 0.0,
-        d2z=lambda rho: 0.0,
-        rho_domain=(0.0, math.inf),
-        label="flat-disk",
-    )
-
-
 def profile_curvature(s: RevolutionSurface, rho: float) -> float:
     """Curvature of the raw profile curve: z'' / (1 + z'^2)^{3/2}."""
     s._check(rho)

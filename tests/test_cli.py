@@ -178,6 +178,7 @@ class TestBifurcateCommand:
         assert_allclose(doc["spec"]["w_limit"], 1.5707963268, rtol=1e-9)
         assert doc["spec"]["moment_tail_ratio"] < 0.5
         assert doc["spec"]["independent_diverges"] is True
+        assert validate_certificate(doc) == []
 
     def test_abresch_report_solves_once(self, capsys, monkeypatch):
         # classify and abresch_checks ask for the same solve of the same profile

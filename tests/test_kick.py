@@ -133,33 +133,39 @@ class TestLambdaLog:
 
 
 class TestDiameterBound:
+    # The closed-form bound 2 r1, and certify's use of it
     def test_base_shell_value(self):
         spec = cf.KickSpec(1.0, 1.0, 30.0, 1.0, 0)
-        assert_allclose(kick.diameter_bound(spec), 2 * math.exp(math.pi), rtol=1e-12)
+        assert_allclose(2 * cf.second_zero_closed_form(spec), 2 * math.exp(math.pi), rtol=1e-12)
 
     def test_all_origins_halves(self):
-        spec = cf.KickSpec(1.0, 1.0, 30.0, 1.0, 0)
-        assert kick.diameter_bound(spec, all_origins=True) == kick.diameter_bound(spec) / 2
+        # the README certify shell: asserted at every origin, the bound is r1
+        spec = cf.KickSpec(1.0, E, E**2, 0.95, 0)
+        prof = kick.kicked_profile(spec)
+        cert = kick.certify(prof, n=2, spec=spec, r_max=1e6, all_origins=True)
+        assert cert.verdict == "Compact" and cert.spec["all_origins"] is True
+        assert cert.diameter_bound == cert.r1
+        assert kick.certify(prof, n=2, spec=spec, r_max=1e6).diameter_bound == 2 * cert.r1
 
     def test_positive_shell_case_formula(self):
         # a = 1, y > 0 across [a, b]: bound is 2 b exp(-tan(mu ln b)/mu)
         mu, b = 1.7, E
         spec = cf.KickSpec(1.0, 1.0, b, mu, 0)
         want = 2 * b * math.exp(-math.tan(mu * math.log(b)) / mu)
-        assert_allclose(kick.diameter_bound(spec), want, rtol=1e-12)
+        assert_allclose(2 * cf.second_zero_closed_form(spec), want, rtol=1e-12)
 
     def test_general_base_point_scaling(self):
         spec1 = cf.KickSpec(1.0, E, E**2, 2.0, 0)
         spec3 = cf.KickSpec(3.0, 3 * E, 3 * E**2, 2.0, 0)
-        assert_allclose(kick.diameter_bound(spec3), 3 * kick.diameter_bound(spec1),
-                        rtol=1e-12)
+        assert_allclose(2 * cf.second_zero_closed_form(spec3),
+                        3 * 2 * cf.second_zero_closed_form(spec1), rtol=1e-12)
 
     @pytest.mark.parametrize("k", [0, 1, 2])
     def test_half_bound_matches_engine_second_zero(self, k):
         # the depth-1 and depth-2 zeros lie beyond b, on the outer branch
         shell = {0: (1.0, 2.0, 5.0), 1: (2.0, 4.0, 10.0), 2: (3.0, 6.0, 30.0)}[k]
         spec = cf.KickSpec(*shell, 2.0, k)
-        r1 = kick.diameter_bound(spec) / 2
+        r1 = cf.second_zero_closed_form(spec)
         res = find_second_zero(kick.kicked_profile(spec), spec.r0, 3 * r1, 1e-10)
         assert_allclose(res.r1, r1, rtol=1e-6)
 

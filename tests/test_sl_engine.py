@@ -639,6 +639,21 @@ class TestPicone:
         rep = picone_residual(const_profile(1.0), const_profile(1.0), 3.0, 1e-9)
         assert rep.residual <= 1e-9
 
+    @pytest.mark.parametrize("case", ["flat-vs-sphere", "arctan-vs-1.1x"])
+    def test_coefficients_that_differ_at_the_origin(self, case):
+        # The identity holds exactly, so I must be summed from the origin,
+        # not from the read start.  b = 0 against c = 1: w = r, y = sin r and
+        # I = r - r^2 cot r.
+        if case == "flat-vs-sphere":
+            b, c, r_max = const_profile(0.0), const_profile(1.0), 3.0
+        else:
+            b = arctan_profile()
+            c = CurvatureProfile(func=lambda r: 1.1 * b.func(r), label="1.1 arctan")
+            r_max = 1.2
+        rep = picone_residual(b, c, r_max, 1e-9)
+        print(f"Picone residual, {case}: {rep.residual:.3g} at r = {rep.r_at_max:.6g}")
+        assert rep.residual <= 1e-9
+
     def test_bump_comparison(self):
         ar = arctan_profile()
         c = CurvatureProfile(

@@ -71,7 +71,10 @@ class TestGaussCurvature:
 
 class TestGeodesicRadius:
     def test_flat_disk_identity(self):
-        assert_allclose(sf.geodesic_radius(sf.flat_disk(), 2.5), 2.5, rtol=1e-12)
+        # z identically 0: the geodesic radius is rho
+        disk = sf.RevolutionSurface(z=lambda rho: 0.0, dz=lambda rho: 0.0, d2z=lambda rho: 0.0,
+                                    rho_domain=(0.0, math.inf), label="flat-disk")
+        assert_allclose(sf.geodesic_radius(disk, 2.5), 2.5, rtol=1e-12)
 
     def test_capped_cylinder_tracks_height(self):
         cc = sf.capped_cylinder()
