@@ -78,7 +78,7 @@ def _named_profile(name: str, args) -> CurvatureProfile:
     if name == "arctan-bifurcator":
         return bifurcator.arctan_profile()
     if name in ("capped-cylinder", "paraboloid"):
-        from . import surfaces  # scipy's quad and PCHIP: loaded only for surfaces
+        from . import surfaces  # scipy's quad: loaded only for surfaces
 
         s = surfaces.capped_cylinder() if name == "capped-cylinder" else surfaces.paraboloid()
         r_hi = max(getattr(args, "r_max", 1e4), 1.0) * 1.1

@@ -20,7 +20,6 @@ from typing import Callable, Optional
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.interpolate import PchipInterpolator
 
 from .errors import DomainError
 from .sl_engine import CurvatureProfile, coefficient_func
@@ -214,25 +213,45 @@ def _gauss_exact_vec(s: RevolutionSurface, rho: np.ndarray) -> np.ndarray:
     return zp * zpp / (rho * (1.0 + zp * zp) ** 2)
 
 
+def _hermite_knots(s: RevolutionSurface, rhos: np.ndarray, rs: np.ndarray) -> tuple:
+    """(x, y, m) at the knots: x = log r, y = log(sup - rho) on a bounded
+    domain [0, sup) and log rho otherwise, and m = dy/dx, exact from
+    dr/drho = sqrt(1 + z'^2)."""
+    sup = s.rho_domain[1]
+    finite = math.isfinite(sup)
+    gap = sup - rhos if finite else rhos
+    zp = np.asarray(s.dz(rhos), dtype=float)
+    m = rs / (gap * np.sqrt(1.0 + zp * zp))
+    return np.log(rs), np.log(gap), -m if finite else m
+
+
 def curvature_profile(s: RevolutionSurface, r_grid) -> CurvatureProfile:
     """Tabulate exact Gaussian curvature against geodesic radius.
 
     Returns a CurvatureProfile defined on [0, max(r_grid)]: constant cap
     curvature inside the blend, then the exact curvature formula evaluated
-    at the inverse geodesic map, which is interpolated (monotone PCHIP) in
-    log-log coordinates where it is nearly affine.  Interpolating the
-    radius map instead of the curvature itself keeps the relative curvature
-    bias near 1e-10; the Jacobi equation amplifies any systematic bias
-    linearly in r, so this matters for long integrations.  This is the
-    Jacobi coefficient for meridian geodesics in dimension 2.
+    at the inverse geodesic map.  That map is interpolated in log-log
+    coordinates, where it is nearly affine, by the cubic Hermite spline
+    through the knots with the map's exact slopes (_hermite_knots) rather
+    than estimated ones, so the jumps of b'' at the knots are as small as
+    the interpolation error.  Interpolating the radius map instead of the
+    curvature itself keeps the relative curvature error near 1e-11; the
+    Jacobi equation amplifies any systematic bias linearly in r, so this
+    matters for long integrations.  This is the Jacobi coefficient for
+    meridian geodesics in dimension 2.
     """
     r_grid = np.asarray(r_grid, dtype=float)
     r_hi = float(np.max(r_grid))
     rhos, rs = _profile_knots(s, r_hi)
     sup = s.rho_domain[1]
     finite = math.isfinite(sup)
-    y = np.log(sup - rhos) if finite else np.log(rhos)
-    interp = PchipInterpolator(np.log(rs), y, extrapolate=True)
+    x, y, m = _hermite_knots(s, rhos, rs)
+    # scipy's CubicHermiteSpline coefficients: y = c0 + c1 h + c2 h^2 + c3 h^3
+    # on [x_i, x_{i+1}], h = x - x_i
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
+    t = (m[:-1] + m[1:] - 2.0 * slope) / dx
+    coef = np.array([t / dx, (slope - m[:-1]) / dx - t, m[:-1], y[:-1]])
 
     r_first = float(rs[0])
     r_top = float(rs[-1])
@@ -241,26 +260,31 @@ def curvature_profile(s: RevolutionSurface, r_grid) -> CurvatureProfile:
         _gauss_exact_vec(s, np.array([rho_lo]))[0]
     )
     breaks = (r_first,) if s.cap is not None else ()
+    last = len(x) - 2
 
     def vector(r):
         if np.any(r > r_top * (1.0 + 1e-9)):
             raise DomainError(f"profile tabulated only up to r = {r_top:g}")
         if not np.all(r >= 0.0):
             raise DomainError("radius must be finite and non-negative")
-        yv = interp(np.log(np.clip(r, r_first, r_top)))
+        xv = np.log(np.clip(r, r_first, r_top))
+        i = np.clip(np.searchsorted(x, xv, "right") - 1, 0, last)
+        c3, c2, c1, c0 = coef[:, i]
+        h = xv - x[i]
+        h2 = h * h
+        yv = c0 + c1 * h + c2 * h2 + c3 * (h2 * h)
         rho = (sup - np.exp(yv)) if finite else np.exp(yv)
         rho = np.clip(rho, rho_lo, rho_hi)
         return np.where(r <= r_first, k_inner, _gauss_exact_vec(s, rho))
 
-    # The same cubic for one float: PPoly's interval rule and power-sum
-    # order (c[0] is the cubic term).  The knots and coefficients are kept
-    # as flat float buffers: a Python float object per entry fragments the
-    # heap and raises peak memory.  numpy's log and exp on a float round as
-    # they do on arrays; math's differ by an ulp now and then, which
-    # rho = 1 - e^y near rho = 1 magnifies.
-    xk = array("d", interp.x)
-    c3, c2, c1, c0 = (array("d", row) for row in interp.c)
-    last = len(xk) - 2
+    # The same cubic for one float: the same interval rule and power sum.
+    # The knots and coefficients are kept as flat float buffers: a Python
+    # float object per entry fragments the heap and raises peak memory.
+    # numpy's log and exp on a float round as they do on arrays; math's
+    # differ by an ulp now and then, which rho = 1 - e^y near rho = 1
+    # magnifies.
+    xk = array("d", x)
+    c3, c2, c1, c0 = (array("d", row) for row in coef)
 
     def scalar(r):
         if r > r_top * (1.0 + 1e-9):

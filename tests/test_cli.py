@@ -427,6 +427,13 @@ class TestImports:
                 "assert abs(se.index_form(se.IndexFormInput(2, traj, one))) < 1e-8")
         assert scipy_modules_after(code) == "[]"
 
+    def test_surfaces_loads_no_interpolate(self):
+        # the surface profile is a hand-built Hermite cubic; only the arc
+        # length still takes scipy's quad, which bench/tracing.py patches
+        loaded = scipy_modules_after("from slboundary import surfaces; "
+                                     "assert callable(surfaces.quad)")
+        assert "scipy.integrate" in loaded and "scipy.interpolate" not in loaded
+
     @pytest.mark.parametrize("argv", [
         ["lambda", "--r0", "1", "--a", E_STR, "--b", E2_STR],
         ["certify", "--profile", "f0-kick", "--n", "2", "--a", E_STR, "--b", E2_STR,

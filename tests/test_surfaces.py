@@ -146,6 +146,60 @@ class TestCurvatureProfile:
         k = sf.gauss_curvature(pb, rho)
         assert abs(k * r * r - 0.25) <= 1e-3
 
+    @pytest.mark.parametrize("name", ["capped-cylinder", "paraboloid"])
+    def test_profile_matches_exact_curvature(self, name):
+        # K(rho(r)) from the exact formula at the geodesic radius of rho,
+        # through both kernels, on the bench ops' ranges
+        if name == "capped-cylinder":
+            s, r_hi = sf.capped_cylinder(), 2.2e4
+            rhos = 1.0 - np.geomspace(0.95, 1.0 / r_hi, 150)
+        else:
+            s, r_hi = sf.paraboloid(), 1.1e4
+            rhos = np.geomspace(1e-3, 100.0, 150)
+        prof = sf.curvature_profile(s, np.geomspace(0.1, r_hi, 16))
+        rs = np.array([sf.geodesic_radius(s, float(rho)) for rho in rhos])
+        want = np.array([sf.gauss_curvature(s, float(rho)) for rho in rhos])
+        scalar = np.array([prof(float(r)) for r in rs])
+        worst = max(np.max(np.abs(scalar / want - 1.0)),
+                    np.max(np.abs(prof.func(rs) / want - 1.0)))
+        print(f"{name}: largest relative error {worst:.3g}")
+        assert worst <= 1e-10
+
+    @pytest.mark.parametrize("name, cap_rho, r_hi", [
+        ("capped-cylinder", 0.03, 2.2e4), ("capped-cylinder", 0.08, 2.2e4),
+        ("paraboloid", None, 1.1e4)])
+    def test_knot_slopes_keep_the_cubic_monotone(self, name, cap_rho, r_hi):
+        # Fritsch-Carlson: m_i / delta and m_{i+1} / delta in [0, 3] on every
+        # interval keep the Hermite cubic monotone, as PCHIP's slopes did
+        s = sf.capped_cylinder(cap_rho) if name == "capped-cylinder" else sf.paraboloid()
+        x, y, m = sf._hermite_knots(s, *sf._profile_knots(s, r_hi))
+        delta = np.diff(y) / np.diff(x)
+        ratios = np.concatenate([m[:-1] / delta, m[1:] / delta])
+        print(f"{name} {cap_rho}: {len(x)} knots, slope ratios in "
+              f"[{ratios.min():.6f}, {ratios.max():.6f}]")
+        assert np.all((ratios >= 0.0) & (ratios <= 3.0))
+
+    def test_capped_cylinder_limit_is_parallel_radius(self):
+        # the meridian Jacobi field is the parallel radius rho -> 1, over the
+        # bench cylinder op's cap_rho range
+        errs = []
+        for cap in np.linspace(0.03, 0.08, 11):
+            prof = sf.curvature_profile(sf.capped_cylinder(cap), np.geomspace(0.1, 2.2e4, 16))
+            rep = bf.classify(prof, r_max=2e4, tol=1e-10)
+            assert rep.classification == bf.CLASS_BIFURCATOR
+            errs.append(abs(rep.w_limit - 1.0))
+        print("largest |w_limit - 1|:", max(errs))
+        assert max(errs) <= 1e-7
+
+    @pytest.mark.parametrize("name, r_max", [("capped-cylinder", 2e4), ("paraboloid", 1e4)])
+    def test_surface_solve_meets_its_defect_bound(self, name, r_max):
+        s = sf.capped_cylinder() if name == "capped-cylinder" else sf.paraboloid()
+        prof = sf.curvature_profile(s, np.geomspace(0.1, 1.1 * r_max, 16))
+        traj = integrate_sl(prof, *bf.origin_start(prof), r_max, 1e-10)
+        defect = traj.residual_report()
+        print(f"{name}: residual_report() {defect:.3g}")
+        assert defect <= 1.0
+
     def test_profile_domain_guard(self):
         cc = sf.capped_cylinder()
         prof = sf.curvature_profile(cc, np.geomspace(0.1, 100.0, 8))
