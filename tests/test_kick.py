@@ -5,12 +5,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from slboundary import closed_form as cf
 from slboundary import kick
 from slboundary.bifurcator import arctan_profile
-from slboundary.errors import DomainMismatch, InvalidShell
+from slboundary.errors import DomainMismatch, InvalidShell, StepUnderflow
 from slboundary.schema import validate_certificate
 from slboundary.sl_engine import CurvatureProfile, find_second_zero
 
@@ -282,3 +284,60 @@ class TestCertify:
         else:
             cert = kick.certify(dipped, n=2, spec=spec, r_max=1e6, grid_size=grid_size)
             assert cert.verdict == "Inconclusive" and cert.r1 is None
+
+
+#: r0 ranges of the kick-certify bench shells, by depth (bench/workloads.py)
+BENCH_R0 = {0: (0.5, 5.0), 1: (1.5, 6.0), 2: (3.5, 12.0)}
+
+#: Bench shells (k, r0, a, b, mu, r_max) that certify cannot solve at tol
+#: 1e-11: the piece [b, r_max] starts by reading the coefficient at r = b on
+#: the kick's side, and DOP853 cannot take a first step (ROADMAP item 10).
+#: The first is kick-certify's seed 2, rotation 37, op 13; the second a
+#: draw of workloads._kick_op at depth 2.
+FAR_SIDE_SHELLS = [
+    (2, 10.19869040509384, 49.272610530554836, 156.3224360469033, 6.066207567554598,
+     4486.658405103812),
+    (2, 6.071678592725626, 37.740469851887795, 210.98086821577888, 4.514580286473845,
+     6079.3597615568515),
+]
+
+
+@st.composite
+def bench_shells(draw):
+    """A shell over the kick-certify bench's ranges, mu 1.05-3 lambda, with
+    its closed-form second zero below the bench's cap of 1e6."""
+    k = draw(st.sampled_from((0, 1, 2)))
+    lo, hi = BENCH_R0[k]
+    r0 = lo * (hi / lo) ** draw(st.floats(0.0, 1.0))
+    a = r0 * 1.5 * (10.0 / 1.5) ** draw(st.floats(0.0, 1.0))
+    b = a * 2.0 * 5.0 ** draw(st.floats(0.0, 1.0))
+    ratio = draw(st.floats(1.05, 3.0))
+    spec = cf.KickSpec(r0, a, b, ratio * kick.lambda_log(k, r0, a, b), k)
+    r1 = cf.second_zero_closed_form(spec)
+    assume(r1 <= 1e6)
+    return spec, r1
+
+
+class TestBenchShells:
+    # certify's conjugate radius against the closed form, at the bench's band
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(bench_shells(), st.sampled_from((1e-9, 1e-11)))
+    def test_compact_at_closed_form(self, shell, tol):
+        spec, r1 = shell
+        cert = kick.certify(kick.kicked_profile(spec), 2, spec, 4 * r1, tol=tol)
+        print(f"k={spec.k} r0={spec.r0!r} a={spec.a!r} b={spec.b!r} mu={spec.mu!r} "
+              f"tol={tol:g}: {cert.verdict}, r1 {cert.r1!r} against {r1!r}")
+        assert cert.verdict == "Compact"
+        assert abs(cert.r1 - r1) <= 1e3 * tol * r1
+
+    @pytest.mark.xfail(raises=StepUnderflow, strict=True,
+                       reason="ROADMAP item 10: the piece [b, r_max] reads the kick at b")
+    @pytest.mark.parametrize("shell", FAR_SIDE_SHELLS)
+    def test_far_side_shells_certify(self, shell):
+        k, r0, a, b, mu, r_max = shell
+        spec = cf.KickSpec(r0, a, b, mu, k)
+        r1 = cf.second_zero_closed_form(spec)
+        cert = kick.certify(kick.kicked_profile(spec), 2, spec, r_max, tol=1e-11)
+        print(f"{cert.verdict}: r1 {cert.r1!r} against {r1!r}")
+        assert cert.verdict == "Compact"
+        assert abs(cert.r1 - r1) <= 1e-11 * r1

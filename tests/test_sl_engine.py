@@ -101,6 +101,22 @@ class TestIntegrate:
         print(f"dense-output defect, README shell at tol 1e-10: {defect:.3g}")
         assert defect <= 1.0
 
+    @pytest.mark.xfail(raises=AssertionError, strict=True,
+                       reason="ROADMAP item 10: the pieces read the kick across the cuts")
+    @pytest.mark.parametrize("tol", [1e-9, 1e-10, 1e-11])
+    def test_no_rejected_trials_at_a_cut(self, tol):
+        # the certify shell: the kick's jump lies outside [1, e] and before
+        # [e^2, 1e6], so neither piece has a reason to reject a step there
+        spec = cf.KickSpec(1.0, E, E**2, 0.95, 0)
+        traj = integrate_sl(kick.kicked_profile(spec), 1.0, 0.0, 1.0, 1e6, tol)
+        pieces = traj.dense.pieces
+        for lo, hi, piece in pieces:
+            print(f"tol {tol:g}, piece [{lo:.6g}, {hi:.6g}]: {piece.accepted} accepted, "
+                  f"{piece.rejected} rejected, {np.sum(piece.rejected_steps == 0)} on the "
+                  f"first step")
+        assert pieces[0][2].rejected == 0
+        assert not any(np.any(piece.rejected_steps == 0) for _, _, piece in pieces)
+
     def test_defect_reads_the_dense_output(self):
         traj = integrate_sl(const_profile(1.0), 0.0, 0.0, 1.0, 10.0, 1e-9)
         piece = traj.dense.pieces[0][2]
