@@ -319,7 +319,8 @@ def bench_shells(draw):
 
 
 class TestBenchShells:
-    # certify's conjugate radius against the closed form, at the bench's band
+    # certify's conjugate radius against the closed form on 40 draws from the
+    # bench's ranges; the draws miss FAR_SIDE_SHELLS, which are checked below
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(bench_shells(), st.sampled_from((1e-9, 1e-11)))
     def test_compact_at_closed_form(self, shell, tol):
