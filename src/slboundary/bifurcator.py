@@ -16,8 +16,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import ExceedanceViolated
-from .sl_engine import (CurvatureProfile, coefficient_func, dominates, integrate_sl,
-                        origin_start, quad, sampling_grid)
+from .sl_engine import (CurvatureProfile, coefficient_func, dominates, find_second_zero,
+                        integrate_sl, origin_start, quad, sampling_grid)
 
 CLASS_BIFURCATOR = "Bifurcator"
 CLASS_SECOND_ZERO = "NotBifurcator(SecondZero)"
@@ -248,7 +248,8 @@ def boundary_test(
 
     Raises ExceedanceViolated if c does not dominate b on the check grid of
     grid_size radii, and DomainMismatch if grid_size < 2.
-    The solve starts at origin_start(c, max(b.r_min, c.r_min)).  NoEvidence
+    The solve is find_second_zero's from origin_start(c, max(b.r_min,
+    c.r_min)), so it stops at the first node past the second zero.  NoEvidence
     does not refute compactness: the second zero is guaranteed to exist for
     a true exceedance but its location may be beyond r_max.
     """
@@ -259,22 +260,22 @@ def boundary_test(
             f"comparison profile is not finite or falls below the bifurcator "
             f"at r = {r_bad:.9g}"
         )
-    traj = integrate_sl(c, *origin_start(c, max(b.r_min, c.r_min)), r_max, tol)
-    if len(traj.zeros):
-        r1 = float(traj.zeros[0])
+    start, w0, w0p = origin_start(c, max(b.r_min, c.r_min))
+    search = find_second_zero(c, start, r_max, tol, w0, w0p)
+    if search.r1 is not None:
         return BoundaryVerdict(
             verdict="CompactSide",
-            second_zero=r1,
-            detail=f"comparison solution vanished at r = {r1:.9g}",
+            second_zero=search.r1,
+            detail=f"comparison solution vanished at r = {search.r1:.9g}",
             r_max=r_max,
         )
-    state = "monotone" if not len(traj.extrema) else "past its maximum"
+    state = "monotone" if search.monotone else "past its maximum"
     return BoundaryVerdict(
         verdict="NoEvidence",
         second_zero=None,
         detail=(
             f"no second zero up to r_max = {r_max:g}; solution is {state} with "
-            f"w = {traj.w[-1]:.6g}, w' = {traj.wp[-1]:.3g} at the end -- "
+            f"w = {search.w_end:.6g}, w' = {search.wp_end:.3g} at the end -- "
             "r_max may simply be too small to witness the guaranteed zero"
         ),
         r_max=r_max,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -193,8 +194,9 @@ def self_intersects(curve: PlanarCurve) -> Optional[tuple]:
     are tested with orientation predicates in ascending (i, j) order and the
     first hit is returned as the interpolated (s_i, s_j) of the crossing.
     Every crossing or touching pair shares a cell, so the hit is the smallest
-    intersecting (i, j).  Adjacent segments are excluded.  Raises DomainError
-    on a non-finite vertex.
+    intersecting (i, j).  Adjacent segments are excluded.  A polyline whose
+    segments all have zero length has none.  Raises DomainError on a
+    non-finite vertex.
     """
     x, y, s = curve.x, curve.y, curve.s
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
@@ -206,7 +208,9 @@ def self_intersects(curve: PlanarCurve) -> Optional[tuple]:
     cell = float(np.max(lens))
     if cell == 0.0:
         return None
-    inv = 1.0 / cell
+    # A subnormal cell would make 1 / cell inf, and 0 * inf a NaN index; a
+    # cell as long as the smallest normal float still holds every segment.
+    inv = 1.0 / max(cell, sys.float_info.min)
 
     # Each segment's box spans cells cx .. cx + wx by cy .. cy + wy, counted
     # from the lowest cell.  A connected polyline whose longest segment is one

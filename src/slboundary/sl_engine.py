@@ -28,9 +28,10 @@ that differs only in r_end resumes the stored solve instead of repeating
 it: every piece keeps the step it proposed at each node and where it
 rejected trials, so the steps both ends leave unclamped are taken over and
 the loop continues from the node after them, bit-identical to a fresh
-solve.  boundary_test's solve to
-r_max, the index form's to the second zero and the Picone window's to 0.9
-of it share their steps this way.
+solve.  A second-zero search (find_second_zero, which kick.certify and
+boundary_test call) stops at the first node that brackets its zero and is
+kept the same way, so boundary_test's search, the index form's solve to the
+second zero and the Picone window's to 0.9 of it share their steps.
 """
 
 from __future__ import annotations
@@ -244,8 +245,9 @@ class _PiecewiseDense:
 
     At a breakpoint the piece that starts there is used.  Radii outside
     [r_start, r_end] raise DomainMismatch: the interpolants would only
-    extrapolate there.  reused counts the accepted steps the solve took
-    from the profile's previous solve.
+    extrapolate there.  r_end is the last piece's last node, which is its
+    r_hi unless a search stopped the piece before it.  reused counts the
+    accepted steps the solve took from the profile's previous solve.
     """
 
     def __init__(self, pieces, reused):
@@ -253,7 +255,7 @@ class _PiecewiseDense:
         self.pieces = pieces
         self.reused = reused
         self._starts = [lo for lo, _, _ in pieces]
-        self._range = (pieces[0][0], pieces[-1][1])
+        self._range = (pieces[0][0], float(pieces[-1][2].ts[-1]))
 
     def _outside(self, r) -> DomainMismatch:
         lo, hi = self._range
@@ -379,7 +381,31 @@ def _solver_tolerances(tol, r_start, r_end, w0, w0p) -> tuple[float, float]:
     return _solver_rtol(tol), max(1e-11 * tol * scale, 1e-280)
 
 
-def _solve_piece(profile, r_lo, r_hi, y0, rtol, atol, prefix=None) -> _StackedDop853:
+class _FirstZero:
+    """The stop rule of a second-zero search: called with each node value of
+    w in turn, it turns true at the first node whose interval brackets a
+    zero by _polish_zeros' rule.
+
+    left is the last node's value when its interval can count, else 0.0.
+    It starts at w0, so with w0 == 0 the leading |w| < 1e-300 are skipped;
+    once one node is not, every later node counts.
+    """
+
+    def __init__(self, w0: float):
+        self.left = w0
+        self.found = False
+
+    def __call__(self, w: float) -> bool:
+        left = self.left
+        if left != 0.0 and (w == 0.0 or (left > 0.0) != (w > 0.0)):
+            self.found = True
+        elif left or not abs(w) < _TINY_SIGN:
+            self.left = w
+        return self.found
+
+
+def _solve_piece(profile, r_lo, r_hi, y0, rtol, atol, prefix=None,
+                 stop=None) -> _StackedDop853:
     """DOP853 from y0 at r_lo to r_hi, with its dense output.
 
     The start is DOP853's: the first right-hand side at r_lo and
@@ -405,6 +431,13 @@ def _solve_piece(profile, r_lo, r_hi, y0, rtol, atol, prefix=None) -> _StackedDo
     node after them with the proposed step and rejection count stored
     there and the right-hand side evaluated there again, so the result is
     bit-identical to a solve without a prefix.
+
+    stop is a search's _FirstZero, or None.  After each accepted step it
+    reads the node's value as integrate_sl's grid does: the dense output at
+    x = 1 of the step, (w_new - w) + w, or, on r_hi, the state w_new that
+    the next piece starts from.  When it turns true the piece ends at that
+    node; its nodes, states and dense output are those of the full piece up
+    to there.  A search takes no prefix.
     """
     rhs = _checked_rhs(profile)
     func, isfinite = profile.func, math.isfinite
@@ -514,7 +547,10 @@ def _solve_piece(profile, r_lo, r_hi, y0, rtol, atol, prefix=None) -> _StackedDo
         y_olds.extend((w, wp))
         ts.append(t_new)
         h_next.append(h_abs)
+        found = stop is not None and stop(w_new if t_new == r_hi else dw + w)
         t, w, wp, f, fp = t_new, w_new, wp_new, f_new, fp_new
+        if found:
+            break
     # scipy's h * D.dot(K), one step's h to each step's block
     F_high = np.array(F_high).reshape(-1, len(D), 2) * np.diff(ts[j:])[:, None, None]
     F = np.concatenate([np.array(F_low).reshape(-1, 3, 2), F_high], axis=1)
@@ -671,6 +707,8 @@ def integrate_sl(
     w0p: float,
     r_end: float,
     tol: float = 1e-9,
+    *,
+    _until_zero: bool = False,
 ) -> SLTrajectory:
     """Integrate w'' + b(r) w = 0 from (w0, w0p) at r_start out to r_end.
 
@@ -691,6 +729,14 @@ def integrate_sl(
     stored steps, and later pieces are solved afresh.  The result is
     bit-identical to a fresh solve; solver_counts()["reused"] counts the
     steps taken over.
+
+    _until_zero is find_second_zero's and no other caller's: the solve
+    stops at the first node that brackets a zero of w (_FirstZero), later
+    pieces are not solved, and the trajectory ends there, with the nodes,
+    values and events of the full solve up to that node.  Such a search is
+    kept under its own arguments; a repeated search returns it, and a solve
+    of the same profile from the same start resumes from it as above.  A
+    search itself always starts afresh.
     """
     if not all(map(math.isfinite, (r_start, r_end, w0, w0p))):
         raise DomainMismatch(f"need finite (r_start, r_end, w0, w0p), "
@@ -704,7 +750,8 @@ def integrate_sl(
             f"profile {profile.label!r} starts at r_min = {profile.r_min} > {r_start}"
         )
     r_start, w0, w0p, r_end, tol = map(float, (r_start, w0, w0p, r_end, tol))
-    key = tuple(v.hex() for v in (r_start, w0, w0p, r_end, tol))  # -0.0 != 0.0
+    start = tuple(v.hex() for v in (r_start, w0, w0p, tol))  # -0.0 != 0.0
+    key = (start, r_end.hex(), _until_zero)
     memo = profile._solves
     if key in memo:
         return memo[key]
@@ -713,26 +760,29 @@ def integrate_sl(
     cuts += [b for b in sorted(set(profile.breakpoints)) if r_start < b < r_end]
     cuts.append(r_end)
     rtol, atol = _solver_tolerances(tol, r_start, r_end, w0, w0p)
+    stop = _FirstZero(w0) if _until_zero else None
     earlier = ()  # the pieces of a stored solve that differs only in r_end
-    for old_key, old in memo.items():
-        if (old_key[:3] + old_key[4:] == key[:3] + key[4:]
-                and _solver_tolerances(tol, r_start, old.r_end, w0, w0p) == (rtol, atol)):
+    for (old_start, old_end, _), old in memo.items():
+        if (stop is None and old_start == start and _solver_tolerances(
+                tol, r_start, float.fromhex(old_end), w0, w0p) == (rtol, atol)):
             earlier = old.dense.pieces
 
     pieces, reused = [], 0
     y = (w0, w0p)
     for i, (lo, hi) in enumerate(zip(cuts[:-1], cuts[1:])):
         old = earlier[i] if i < len(earlier) else None
-        if old is not None and old[:2] == (lo, hi):
+        if old is not None and old[:2] == (lo, hi) and old[2].ts[-1] == hi:
             piece = old[2]
             reused += piece.accepted
         else:
             piece = _solve_piece(profile, lo, hi, y, rtol, atol,
-                                 None if old is None else old[2])
+                                 None if old is None else old[2], stop)
             reused += piece.reused
             earlier = ()
         pieces.append((lo, hi, piece))
         y = piece.y_end
+        if stop is not None and stop.found:
+            break
 
     dense = _PiecewiseDense(pieces, reused)
     grid = np.unique(np.concatenate([piece.ts for _, _, piece in pieces]))
@@ -751,7 +801,7 @@ def integrate_sl(
         zeros=zeros,
         extrema=extrema,
         r_start=r_start,
-        r_end=r_end,
+        r_end=float(grid[-1]),
         tol=tol,
         dense=dense,
     )
@@ -766,6 +816,10 @@ class SecondZeroResult:
 
     When r1 is None, the final value/slope and the extremum count let the
     caller tell 'provably still climbing' apart from 'ran out of domain'.
+    When r1 is found, the search stopped at the first node past it, so
+    w_end, wp_end, monotone and n_extrema describe the solve up to that
+    node (trajectory.r_end), not up to r_searched; no caller outside the
+    tests reads them then.
     """
 
     r1: Optional[float]
@@ -782,9 +836,21 @@ def find_second_zero(
     r0: float,
     r_max: float,
     tol: float = 1e-9,
+    w0: float = 0.0,
+    w0p: float = 1.0,
 ) -> SecondZeroResult:
-    """First zero strictly beyond r0 of the solution with y(r0) = 0, y'(r0) = 1."""
-    traj = integrate_sl(profile, r0, 0.0, 1.0, r_max, tol)
+    """First zero strictly beyond r0 of the solution with y(r0) = w0,
+    y'(r0) = w0p: by default the point conjugate to r0.  boundary_test
+    passes origin_start's data.
+
+    The solve is integrate_sl's from the same arguments, stopped at the
+    first solver node that brackets a zero: r1 is zeros[0] of the full
+    solve to r_max, bit for bit, and the rest of [r1, r_max] is not solved.
+    Without a zero the solve runs to r_max.  The search is kept in the
+    profile's memo, so a later integrate_sl from the same start resumes
+    from its steps.
+    """
+    traj = integrate_sl(profile, r0, w0, w0p, r_max, tol, _until_zero=True)
     r1 = float(traj.zeros[0]) if len(traj.zeros) else None
     return SecondZeroResult(
         r1=r1,

@@ -14,7 +14,7 @@ from scipy.integrate import quad
 from slboundary import bifurcator as bf
 from slboundary import sl_engine
 from slboundary.errors import DomainMismatch, ExceedanceViolated
-from slboundary.sl_engine import CurvatureProfile, dominates, integrate_sl
+from slboundary.sl_engine import CurvatureProfile, dominates, find_second_zero, integrate_sl
 
 
 def const_profile(c):
@@ -209,6 +209,49 @@ class TestBoundaryTest:
         assert z20 < z5
 
 
+def _bump(x):
+    """Smooth bump supported on (-1, 1) with peak 1 at 0."""
+    x = np.asarray(x, dtype=float)
+    inside = np.abs(x) < 1.0
+    t = np.where(inside, x, 0.0)
+    return np.where(inside, np.exp(-t * t / (1.0 - t * t)), 0.0)
+
+
+@st.composite
+def bench_comparisons(draw):
+    """(b, c, r_max) as bifurcator-compare's comparison ops draw them: the
+    arctan profile scaled by s, and c = b plus a bump of width 0.5 / s."""
+    s = draw(st.floats(1.0, 4.0))
+    height = s * s * draw(st.floats(0.2, 1.0))
+    centre = draw(st.floats(1.5, 3.0)) / s
+    base = bf.arctan_profile().func
+    b = CurvatureProfile(func=lambda r: s * s * base(s * np.asarray(r, dtype=float)),
+                         label=f"arctan[s={s:.6g}]")
+    c = CurvatureProfile(
+        func=lambda r: b.func(r) + height * _bump((np.asarray(r) - centre) * 2.0 * s),
+        label=f"{b.label}+bump")
+    return b, c, 1e3 / s
+
+
+class TestBoundaryTestStop:
+    # boundary_test's search stops at the node past the second zero; its r1
+    # is the first zero of the full solve to r_max on a memo-free copy of c
+    @settings(max_examples=15, deadline=None, derandomize=True, database=None)
+    @given(bench_comparisons())
+    def test_second_zero_of_the_full_solve(self, ops):
+        b, c, r_max = ops
+        full = integrate_sl(dataclasses.replace(c), *sl_engine.origin_start(c), r_max, 1e-9)
+        v = bf.boundary_test(b, c, r_max=r_max, tol=1e-9)
+        stopped = next(iter(c._solves.values()))
+        steps = stopped.solver_counts()["accepted"], full.solver_counts()["accepted"]
+        print(f"{c.label}: second zero {v.second_zero!r}, stop at {stopped.r_end!r} of "
+              f"{r_max!r}, {steps[0]} of {steps[1]} accepted steps")
+        assert v.verdict == "CompactSide"
+        assert v.second_zero.hex() == float(full.zeros[0]).hex()
+        assert stopped.r_end == full.grid[np.searchsorted(full.grid, v.second_zero)]
+        assert steps[0] < steps[1]
+
+
 class TestNoncompactSide:
     def test_equality_is_noncompact_side(self):
         ar = bf.arctan_profile()
@@ -329,16 +372,24 @@ class TestOriginStart:
     def test_same_start_in_every_caller(self, monkeypatch):
         prof = CurvatureProfile(func=lambda r: 1.0 / (1.0 + r * r) ** 2, r_min=1e-9,
                                 label="r_min=1e-9")
-        starts = []
+        starts, searches = [], []
 
-        def spy(profile, r_start, w0, w0p, *args):
+        def spy(profile, r_start, w0, w0p, *args, **kwargs):
             starts.append((r_start, w0, w0p))
-            return integrate_sl(profile, r_start, w0, w0p, *args)
+            return integrate_sl(profile, r_start, w0, w0p, *args, **kwargs)
+
+        def search_spy(profile, r0, r_max, tol, w0, w0p):
+            searches.append((r0, w0, w0p))
+            return find_second_zero(profile, r0, r_max, tol, w0, w0p)
 
         monkeypatch.setattr(bf, "integrate_sl", spy)
         monkeypatch.setattr(sl_engine, "integrate_sl", spy)
+        # boundary_test solves through find_second_zero, which solves through
+        # sl_engine.integrate_sl: its start is seen by both spies
+        monkeypatch.setattr(bf, "find_second_zero", search_spy)
         bf.classify(prof, r_max=100.0)
         bf.abresch_checks(prof, r_max=100.0)
         bf.boundary_test(prof, prof, r_max=100.0)
         sl_engine.picone_residual(prof, prof, 50.0)
+        assert searches == [(1e-6, 1e-6, 1.0)]
         assert starts == [(1e-6, 1e-6, 1.0)] * 5

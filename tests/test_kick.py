@@ -1,11 +1,12 @@
 """Thresholds, diameter bounds, and certificates, checked against independent
 bisection/grid-scan oracles and the integration engine."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -14,7 +15,7 @@ from slboundary import kick
 from slboundary.bifurcator import arctan_profile
 from slboundary.errors import DomainMismatch, InvalidShell, StepUnderflow
 from slboundary.schema import validate_certificate
-from slboundary.sl_engine import CurvatureProfile, find_second_zero
+from slboundary.sl_engine import CurvatureProfile, find_second_zero, integrate_sl
 
 E = math.e
 
@@ -342,3 +343,33 @@ class TestBenchShells:
         print(f"{cert.verdict}: r1 {cert.r1!r} against {r1!r}")
         assert cert.verdict == "Compact"
         assert abs(cert.r1 - r1) <= 1e-11 * r1
+
+
+#: The README certify shell at its r_max of 1e6, about 73 times its r1.
+README_SEARCH = (cf.KickSpec(1.0, E, E**2, 0.95, 0), 1e6)
+
+
+class TestSecondZeroStop:
+    # find_second_zero stops at the first node that brackets the zero; the
+    # full solve to r_max, on a copy of the profile with an empty memo, is the
+    # reference.  The draws put r1 inside [a, b] and past b.
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(bench_shells().map(lambda shell: (shell[0], 4.0 * shell[1])),
+           st.sampled_from((1e-9, 1e-11)))
+    @example(README_SEARCH, 1e-9)
+    def test_r1_of_the_full_solve(self, search_args, tol):
+        spec, r_max = search_args
+        prof = kick.kicked_profile(spec)
+        full = integrate_sl(dataclasses.replace(prof), spec.r0, 0.0, 1.0, r_max, tol)
+        search = find_second_zero(prof, spec.r0, r_max, tol)
+        stopped, n = search.trajectory, len(search.trajectory.grid)
+        steps = stopped.solver_counts()["accepted"], full.solver_counts()["accepted"]
+        print(f"k={spec.k} r0={spec.r0!r} a={spec.a!r} b={spec.b!r} mu={spec.mu!r} "
+              f"tol={tol:g}: r1 {search.r1!r} {'inside [a, b]' if search.r1 <= spec.b else 'past b'}, "
+              f"stop at {stopped.r_end!r} of {r_max!r}, {steps[0]} of {steps[1]} accepted steps")
+        assert search.r1.hex() == float(full.zeros[0]).hex()
+        # the trajectory is the full one up to the first node at or past r1
+        assert stopped.r_end == full.grid[np.searchsorted(full.grid, search.r1)]
+        for f in ("grid", "w", "wp"):
+            assert getattr(stopped, f).tobytes() == getattr(full, f)[:n].tobytes()
+        assert steps[0] < steps[1]

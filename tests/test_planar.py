@@ -6,7 +6,7 @@ from typing import Optional
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
@@ -58,6 +58,27 @@ def self_intersects_reference(curve: pl.PlanarCurve) -> Optional[tuple]:
             si = float(s[i] + t * (s[i + 1] - s[i]))
             sj = float(s[j] + u * (s[j + 1] - s[j]))
             return (si, sj)
+    return None
+
+
+def self_intersects_brute_force(curve: pl.PlanarCurve) -> Optional[tuple]:
+    """Every non-adjacent pair in ascending (i, j) order: the first that
+    _segments_cross accepts, as self_intersects reports it, or None.  A
+    polyline whose segments all have zero length has none, which is
+    self_intersects' early return."""
+    x, y, s = curve.x, curve.y, curve.s
+    nseg = len(x) - 1
+    if not np.any(np.hypot(np.diff(x), np.diff(y))):
+        return None
+    for i in range(nseg):
+        for j in range(i + 2, nseg):
+            hit = pl._segments_cross(
+                ((x[i], y[i]), (x[i + 1], y[i + 1])),
+                ((x[j], y[j]), (x[j + 1], y[j + 1])),
+            )
+            if hit is not None:
+                t, u = hit
+                return (float(s[i] + t * (s[i + 1] - s[i])), float(s[j] + u * (s[j + 1] - s[j])))
     return None
 
 
@@ -183,9 +204,15 @@ class TestParabolaCurvature:
 class TestSelfIntersects:
     @settings(max_examples=1500, deadline=None, derandomize=True, database=None)
     @given(st.one_of(GRID_POINTS, FREE_POINTS))
+    # a subnormal longest segment: 1 / cell overflowed, and 0 * inf made the
+    # cell indices NaN
+    @example([(0.0, 0.0), (0.0, 0.0), (0.0, 2.225073858507e-311)])
+    # pair (0, 2) touches within _on_segment's 1e-300 slack; the reference
+    # hash's cell boundary at y = 0 splits it, the hash here does not
+    @example([(0.0, -1.0), (0.0, -2.225073858507e-311), (0.0, 0.0), (0.0, 0.0)])
     def test_matches_reference_hash(self, points):
         c = polyline(points)
-        assert pl.self_intersects(c) == self_intersects_reference(c)
+        assert pl.self_intersects(c) == self_intersects_brute_force(c)
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(k=st.floats(5.0, 40.0), t=st.floats(-0.3, 0.3),

@@ -426,8 +426,9 @@ class TestSolveResume:
         assert integrate_sl(bad, 0.0, 0.0, 1.0, 4.0, 1e-9) is kept
 
     def test_boundary_then_picone_solves_c_once(self, solves):
-        # the sequence of acceptance check #09: c is solved to r_max once;
-        # the Picone window takes its first two pieces whole and resumes the third
+        # the sequence of acceptance check #09: boundary_test's search solves c
+        # once, to the node past r1; the Picone window takes its first two
+        # pieces whole and resumes the third
         ar = arctan_profile()
         c = CurvatureProfile(
             func=lambda r: ar.func(np.asarray(r)) * (1.0 + 0.05 * ((np.asarray(r) >= 1.0)
@@ -443,6 +444,50 @@ class TestSolveResume:
         counts = window.solver_counts()
         print(f"Picone window on c: {counts['reused']} of {counts['accepted']} steps reused")
         assert counts["accepted"] - counts["reused"] <= 3
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(kicked_re_solves())
+    def test_solve_after_a_search_equals_fresh_solve(self, problem):
+        # the search to first stops at its zero, if it has one; the solve to
+        # second resumes from its stopped pieces
+        spec, tol, first, second = problem
+        prof = kick.kicked_profile(spec)
+        find_second_zero(prof, spec.r0, first, tol)
+        got = integrate_sl(prof, spec.r0, 0.0, 1.0, second, tol)
+        fresh = integrate_sl(dataclasses.replace(prof), spec.r0, 0.0, 1.0, second, tol)
+        assert _solve_bits(got) == _solve_bits(fresh)
+
+    def test_search_then_full_solve(self, solves):
+        # the README certify shell: a search to 1e6 stops past r1 = 13,710,
+        # and the solve to 1e6 after it takes over its steps
+        spec = cf.KickSpec(1.0, E, E**2, 0.95, 0)
+        prof = kick.kicked_profile(spec)
+        search = find_second_zero(prof, 1.0, 1e6, 1e-9)
+        assert find_second_zero(prof, 1.0, 1e6, 1e-9).trajectory is search.trajectory
+        assert len(solves) == 3  # the repeated search solved nothing
+        got = integrate_sl(prof, 1.0, 0.0, 1.0, 1e6, 1e-9)
+        fresh = integrate_sl(dataclasses.replace(prof), 1.0, 0.0, 1.0, 1e6, 1e-9)
+        counts, stopped = got.solver_counts(), search.trajectory.solver_counts()
+        print(f"search to {search.trajectory.r_end!r}: {stopped}; "
+              f"solve to 1e6 after it: {counts}; fresh: {fresh.solver_counts()}")
+        assert _solve_bits(got) == _solve_bits(fresh)
+        assert counts["reused"] > 0
+        # the two pieces below b are taken whole and the third resumed
+        assert got.dense.pieces[:2] == search.trajectory.dense.pieces[:2]
+        assert solves[3][6] is search.trajectory.dense.pieces[2][2]
+
+    def test_search_stops_on_a_breakpoint(self, solves):
+        # b = 1 cut at 3.15 and 5: the first node past pi is the cut 3.15,
+        # where the node's value is the next piece's start state
+        prof = CurvatureProfile(func=lambda r: 1.0 + 0.0 * np.asarray(r), label="one",
+                                breakpoints=(3.15, 5.0))
+        search = find_second_zero(prof, 0.0, 10.0, 1e-9)
+        assert search.trajectory.r_end == 3.15 and len(solves) == 1
+        full = integrate_sl(dataclasses.replace(prof), 0.0, 0.0, 1.0, 10.0, 1e-9)
+        assert search.r1.hex() == float(full.zeros[0]).hex()
+        got = integrate_sl(prof, 0.0, 0.0, 1.0, 10.0, 1e-9)
+        assert got.dense.pieces[0][2] is search.trajectory.dense.pieces[0][2]
+        assert _solve_bits(got) == _solve_bits(full)
 
 
 class TestDenseOutput:
