@@ -262,6 +262,7 @@ def boundary_test(
         )
     start, w0, w0p = origin_start(c, max(b.r_min, c.r_min))
     search = find_second_zero(c, start, r_max, tol, w0, w0p)
+    traj = search.trajectory
     if search.r1 is not None:
         return BoundaryVerdict(
             verdict="CompactSide",
@@ -269,13 +270,13 @@ def boundary_test(
             detail=f"comparison solution vanished at r = {search.r1:.9g}",
             r_max=r_max,
         )
-    state = "monotone" if search.monotone else "past its maximum"
+    state = "past its maximum" if len(traj.extrema) else "monotone"
     return BoundaryVerdict(
         verdict="NoEvidence",
         second_zero=None,
         detail=(
             f"no second zero up to r_max = {r_max:g}; solution is {state} with "
-            f"w = {search.w_end:.6g}, w' = {search.wp_end:.3g} at the end -- "
+            f"w = {traj.w[-1]:.6g}, w' = {traj.wp[-1]:.3g} at the end -- "
             "r_max may simply be too small to witness the guaranteed zero"
         ),
         r_max=r_max,

@@ -26,6 +26,8 @@ from .sl_engine import CurvatureProfile
 SURFACE_NAMES = ("capped-cylinder", "paraboloid")
 PROFILE_NAMES = ("f0-kick", "fk-kick", "bf-equality", "arctan-bifurcator",
                  "capped-cylinder", "paraboloid")
+#: The profiles _named_profile builds without shell or --k arguments.
+BIFURCATE_PROFILES = ("arctan-bifurcator",) + SURFACE_NAMES
 #: Most t values one --t sweep may ask for; each one reconstructs a curve.
 MAX_T_POINTS = 1000
 #: Most segments one reconstructed curve may have.  A parabola curve of 10^6
@@ -363,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_certify)
 
     sp = sub.add_parser("bifurcate", help="classify a profile as SL-bifurcator or not")
-    sp.add_argument("--profile", choices=PROFILE_NAMES, required=True)
+    sp.add_argument("--profile", choices=BIFURCATE_PROFILES, required=True)
     sp.add_argument("--r-max", dest="r_max", type=_finite_float, default=1e4)
     sp.add_argument("--tol", type=_finite_float, default=1e-9)
     sp.add_argument("--abresch", action="store_true",

@@ -28,7 +28,7 @@ from .closed_form import (
     shell_gaps,
     superpower,
 )
-from .errors import InvalidShell
+from .errors import DomainError, InvalidShell
 from .sl_engine import (CurvatureProfile, coefficient_func, dominates, find_second_zero,
                         sampling_grid)
 
@@ -96,8 +96,15 @@ def _family_r_min(k: int) -> float:
 
 
 def kicked_profile(spec: KickSpec) -> CurvatureProfile:
-    """Coefficient of the kicked equation: critical_decay with mu on [a, b] only."""
-    k, a, b, mu2 = spec.k, spec.a, spec.b, spec.mu**2
+    """Coefficient of the kicked equation: critical_decay with mu on [a, b] only.
+
+    DomainError when mu^2 overflows a float.
+    """
+    k, a, b = spec.k, spec.a, spec.b
+    try:
+        mu2 = spec.mu**2
+    except OverflowError:
+        raise DomainError(f"kick amplitude mu = {spec.mu!r}: mu^2 overflows a float") from None
 
     def vector(r):
         out = critical_decay(r, 0.0, k)

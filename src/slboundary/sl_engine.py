@@ -26,12 +26,13 @@ trajectory without solving again.  This is what lets classify,
 abresch_checks and a caller's own integrate_sl share one solve.  A call
 that differs only in r_end resumes the stored solve instead of repeating
 it: every piece keeps the step it proposed at each node and where it
-rejected trials, so the steps both ends leave unclamped are taken over and
-the loop continues from the node after them, bit-identical to a fresh
-solve.  A second-zero search (find_second_zero, which kick.certify and
-boundary_test call) stops at the first node that brackets its zero and is
-kept the same way, so boundary_test's search, the index form's solve to the
-second zero and the Picone window's to 0.9 of it share their steps.
+rejected trials, so the steps both ends leave unclamped (all of them, for a
+piece solved to the same end) are taken over and the loop continues from
+the node after them, bit-identical to a fresh solve.  A second-zero
+search (find_second_zero, which kick.certify and boundary_test call)
+stops at the first node that brackets its zero and is kept the same way,
+so boundary_test's search, the index form's solve to the second zero and
+the Picone window's to 0.9 of it share their steps.
 """
 
 from __future__ import annotations
@@ -119,10 +120,13 @@ def sampling_grid(lo: float, hi: float, grid_size: int) -> np.ndarray:
     """grid_size log-spaced radii from lo to hi, the grid a hypothesis is checked on.
 
     A grid of fewer than 2 radii samples at most one radius, so a check on
-    it proves nothing: DomainMismatch.
+    it proves nothing, and a log-spaced grid needs positive, finite ends:
+    DomainMismatch.
     """
     if not grid_size >= 2:
         raise DomainMismatch(f"a sampling grid needs grid_size >= 2, got {grid_size!r}")
+    if not (0.0 < lo < math.inf and 0.0 < hi < math.inf):
+        raise DomainMismatch(f"a sampling grid needs positive, finite ends, got [{lo!r}, {hi!r}]")
     return np.geomspace(lo, hi, grid_size)
 
 
@@ -176,15 +180,16 @@ class _StackedDop853:
     the same recurrence in float arithmetic for one point, where numpy's
     per-call overhead would dominate.
 
-    y_end is the state at ts[-1]; accepted, rejected and nfev count the
-    solver's steps and right-hand-side evaluations, and reused the leading
-    steps taken from an earlier solve (_solve_piece's prefix).  What else
-    the step loop starts a step from is kept for a later solve to resume
-    at any node: h_next, the step proposed at each node, and
-    rejected_steps, the index of the step of every rejected trial.
+    y_end is the state at ts[-1], and r_hi the end the piece was solved
+    toward: ts[-1] unless a search stopped it before.  accepted, rejected
+    and nfev count the solver's steps and right-hand-side evaluations, and
+    reused the leading steps taken from an earlier solve (_solve_piece's
+    prefix).  What else the step loop starts a step from is kept for a
+    later solve to resume at any node: h_next, the step proposed at each
+    node, and rejected_steps, the index of the step of every rejected trial.
     """
 
-    def __init__(self, ts, y_old, F, y_end, nfev, h_next, rejected_steps, reused):
+    def __init__(self, ts, y_old, F, y_end, r_hi, nfev, h_next, rejected_steps, reused):
         self.ts = np.array(ts, dtype=float)
         self._inner = self.ts[1:-1]
         self.t_old = self.ts[:-1]
@@ -192,6 +197,7 @@ class _StackedDop853:
         self.y_old = np.array(y_old, dtype=float).reshape(-1, 2)
         self.F = F
         self.y_end = y_end
+        self.r_hi = r_hi
         self.accepted = len(self.ts) - 1
         self.nfev = nfev
         self.h_next = np.array(h_next, dtype=float)
@@ -202,16 +208,20 @@ class _StackedDop853:
     def shared_steps(self, h_abs: float, r_hi: float) -> int:
         """How many leading steps a solve from the same start to r_hi repeats.
 
-        With the same tolerances and the same first proposed step h_abs,
-        a step is repeated when neither end clamps its first trial
+        With the same tolerances and the same first proposed step h_abs, a
+        solve to this piece's own r_hi repeats every step; when a search
+        stopped the piece, it continues from the last node.  Toward another
+        end a step is repeated when neither end clamps its first trial
         t + max(h, min_step): its later trials are shorter, so neither end
         clamps those either.
         """
         if h_abs != self.h_next[0]:
             return 0
+        if r_hi == self.r_hi:
+            return self.accepted
         t = self.t_old
         min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
-        ok = t + np.maximum(self.h_next[:-1], min_step) <= min(self.ts[-1], r_hi)
+        ok = t + np.maximum(self.h_next[:-1], min_step) <= min(self.r_hi, r_hi)
         return self.accepted if ok.all() else int(np.argmin(ok))
 
     def __call__(self, t):
@@ -246,14 +256,12 @@ class _PiecewiseDense:
     At a breakpoint the piece that starts there is used.  Radii outside
     [r_start, r_end] raise DomainMismatch: the interpolants would only
     extrapolate there.  r_end is the last piece's last node, which is its
-    r_hi unless a search stopped the piece before it.  reused counts the
-    accepted steps the solve took from the profile's previous solve.
+    r_hi unless a search stopped the piece before it.
     """
 
-    def __init__(self, pieces, reused):
+    def __init__(self, pieces):
         # pieces: list of (r_lo, r_hi, _StackedDop853)
         self.pieces = pieces
-        self.reused = reused
         self._starts = [lo for lo, _, _ in pieces]
         self._range = (pieces[0][0], float(pieces[-1][2].ts[-1]))
 
@@ -314,14 +322,14 @@ class SLTrajectory:
     def solver_counts(self) -> dict:
         """Accepted and rejected DOP853 steps and right-hand-side evaluations,
         summed over the solve's pieces.  These are the counts of a fresh
-        solve; "reused" is how many of the accepted steps were taken from
-        the profile's previous solve instead (0 for a fresh solve)."""
+        solve; "reused" is how many of the accepted steps each piece took
+        from the profile's previous solve instead (0 for a fresh solve)."""
         pieces = [piece for _, _, piece in self.dense.pieces]
         return {
             "accepted": sum(p.accepted for p in pieces),
             "rejected": sum(p.rejected for p in pieces),
             "nfev": sum(p.nfev for p in pieces),
-            "reused": self.dense.reused,
+            "reused": sum(p.reused for p in pieces),
         }
 
     def residual_report(self) -> float:
@@ -426,11 +434,12 @@ def _solve_piece(profile, r_lo, r_hi, y0, rtol, atol, prefix=None,
     spacing between numbers", naming the radius and the piece.
 
     prefix is an earlier solve of this piece from the same r_lo, y0, rtol
-    and atol to another end, or None.  The loop takes the leading steps
-    that this solve would repeat (prefix.shared_steps) and enters at the
-    node after them with the proposed step and rejection count stored
-    there and the right-hand side evaluated there again, so the result is
-    bit-identical to a solve without a prefix.
+    and atol, or None.  The loop takes the leading steps that this solve
+    would repeat (prefix.shared_steps: all of them when prefix was solved
+    to this r_hi) and enters at the node after them with the proposed step
+    and rejection count stored there and the right-hand side evaluated
+    there again, so the result is bit-identical to a solve without a
+    prefix.
 
     stop is a search's _FirstZero, or None.  After each accepted step it
     reads the node's value as integrate_sl's grid does: the dense output at
@@ -556,7 +565,7 @@ def _solve_piece(profile, r_lo, r_hi, y0, rtol, atol, prefix=None,
     F = np.concatenate([np.array(F_low).reshape(-1, 3, 2), F_high], axis=1)
     F = F.transpose(1, 0, 2)[::-1]  # (power, segment, state), highest power first
     F = np.concatenate([prefix.F[:, :j], F], axis=1) if j else F.copy()
-    return _StackedDop853(ts, y_olds, F, (w, wp), nfev, h_next, rejected_steps, j)
+    return _StackedDop853(ts, y_olds, F, (w, wp), r_hi, nfev, h_next, rejected_steps, j)
 
 
 _EPS = float(np.finfo(float).eps)
@@ -724,11 +733,12 @@ def integrate_sl(
     included, return that trajectory; any other arguments solve and replace
     it.  A solve that raises leaves the memo as it was.  When only r_end
     differs and the solver tolerances are the same, the solve continues
-    from the stored one: pieces with both ends unchanged are taken whole,
-    the first piece whose end moved resumes inside _solve_piece from its
-    stored steps, and later pieces are solved afresh.  The result is
-    bit-identical to a fresh solve; solver_counts()["reused"] counts the
-    steps taken over.
+    from the stored one: each piece passes the stored piece between the
+    same cuts to _solve_piece, which takes over every step when that piece
+    was solved to the same end (continuing from its last node when a
+    search stopped it) and the steps neither end clamps otherwise.  The
+    result is bit-identical to a fresh solve; solver_counts()["reused"]
+    counts the steps taken over.
 
     _until_zero is find_second_zero's and no other caller's: the solve
     stops at the first node that brackets a zero of w (_FirstZero), later
@@ -767,24 +777,17 @@ def integrate_sl(
                 tol, r_start, float.fromhex(old_end), w0, w0p) == (rtol, atol)):
             earlier = old.dense.pieces
 
-    pieces, reused = [], 0
+    pieces = []
     y = (w0, w0p)
     for i, (lo, hi) in enumerate(zip(cuts[:-1], cuts[1:])):
-        old = earlier[i] if i < len(earlier) else None
-        if old is not None and old[:2] == (lo, hi) and old[2].ts[-1] == hi:
-            piece = old[2]
-            reused += piece.accepted
-        else:
-            piece = _solve_piece(profile, lo, hi, y, rtol, atol,
-                                 None if old is None else old[2], stop)
-            reused += piece.reused
-            earlier = ()
+        prefix = earlier[i][2] if i < len(earlier) else None
+        piece = _solve_piece(profile, lo, hi, y, rtol, atol, prefix, stop)
         pieces.append((lo, hi, piece))
         y = piece.y_end
         if stop is not None and stop.found:
             break
 
-    dense = _PiecewiseDense(pieces, reused)
+    dense = _PiecewiseDense(pieces)
     grid = np.unique(np.concatenate([piece.ts for _, _, piece in pieces]))
     w, wp = dense(grid)
 
@@ -812,22 +815,13 @@ def integrate_sl(
 
 @dataclass(frozen=True)
 class SecondZeroResult:
-    """First zero beyond the base point, or the evidence there was none.
-
-    When r1 is None, the final value/slope and the extremum count let the
-    caller tell 'provably still climbing' apart from 'ran out of domain'.
-    When r1 is found, the search stopped at the first node past it, so
-    w_end, wp_end, monotone and n_extrema describe the solve up to that
-    node (trajectory.r_end), not up to r_searched; no caller outside the
-    tests reads them then.
+    """First zero beyond the base point (None when there is none up to
+    r_max) and the search's trajectory: the solve up to the first node past
+    r1, or to r_max, where its last value, slope and extrema are the
+    evidence that there was none.
     """
 
     r1: Optional[float]
-    w_end: float
-    wp_end: float
-    monotone: bool
-    n_extrema: int
-    r_searched: float
     trajectory: SLTrajectory = field(repr=False)
 
 
@@ -851,16 +845,7 @@ def find_second_zero(
     from its steps.
     """
     traj = integrate_sl(profile, r0, w0, w0p, r_max, tol, _until_zero=True)
-    r1 = float(traj.zeros[0]) if len(traj.zeros) else None
-    return SecondZeroResult(
-        r1=r1,
-        w_end=float(traj.w[-1]),
-        wp_end=float(traj.wp[-1]),
-        monotone=(len(traj.extrema) == 0),
-        n_extrema=len(traj.extrema),
-        r_searched=float(r_max),
-        trajectory=traj,
-    )
+    return SecondZeroResult(float(traj.zeros[0]) if len(traj.zeros) else None, traj)
 
 
 def _gauss(f, lo, hi):

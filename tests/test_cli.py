@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -61,6 +61,45 @@ def lambda_argvs(draw):
         k = draw(st.one_of(st.integers(-2, 5).map(str),
                            st.sampled_from(["1000", "99999999999999999999", "1.5", "x"])))
         argv.append(f"--k={k}")
+    return argv + draw(st.lists(st.sampled_from(["--json", "--no-meta"]), unique=True))
+
+
+_R_MAX = st.one_of(st.floats(1.0, 1e6).map(repr), st.floats(-10.0, 10.0).map(repr),
+                   st.sampled_from(["0", "-0", "-1", "1e100"]))
+#: --r-max for a surface profile, whose knots reach 1.1 r_max: at most 1e3
+#: keeps one profile build to a few ms.
+_SURFACE_R_MAX = st.one_of(st.floats(1.0, 1e3).map(repr), st.floats(-10.0, 10.0).map(repr),
+                           st.sampled_from(["0", "-1"]))
+_TOL = st.one_of(st.floats(1e-13, 1e-3).map(repr),
+                 st.sampled_from(["1e-9", "1e-13", "1e-3", "0", "-1e-9", "1e-14", "1"]))
+
+
+@st.composite
+def profile_argvs(draw, command):
+    """`certify` or `bifurcate` argument vectors: any --profile (and, for
+    certify, --bifurcator), an --r-max that may be 0 or negative, --tol,
+    and for certify a --mu up to 1e300 and a shell, ordered as the log depth
+    --k needs in three draws of four."""
+    profile = draw(st.sampled_from(cli.PROFILE_NAMES))
+    argv = [command, f"--profile={profile}"]
+    surface = profile in cli.SURFACE_NAMES
+    if command == "certify":
+        k = draw(st.integers(0, 2))
+        shell = [draw(st.floats(0.5, 20.0)) for _ in range(3)]
+        if draw(st.integers(0, 3)) < 3:
+            r0 = (1.0, 3.0, 20.0)[k] * draw(st.floats(1.0, 2.0))
+            shell = [r0, r0 * draw(st.floats(1.0, 3.0)), 0.0]
+            shell[2] = shell[1] * draw(st.floats(1.05, 3.0))
+        mu = draw(st.one_of(st.floats(0.0, 10.0), st.floats(0.0, 1e300),
+                            st.sampled_from([0.95, 1e154, 1e300, -1.0])))
+        argv += [f"--{name}={value!r}" for name, value in zip(("r0", "a", "b", "mu"),
+                                                               [*shell, mu])]
+        argv.append(f"--k={k}")
+        if draw(st.booleans()):
+            bif = draw(st.sampled_from(cli.PROFILE_NAMES))
+            argv.append(f"--bifurcator={bif}")
+            surface |= bif in cli.SURFACE_NAMES
+    argv += [f"--r-max={draw(_SURFACE_R_MAX if surface else _R_MAX)}", f"--tol={draw(_TOL)}"]
     return argv + draw(st.lists(st.sampled_from(["--json", "--no-meta"]), unique=True))
 
 
@@ -165,6 +204,15 @@ class TestCertifyCommand:
         assert code == 0
         assert doc["verdict"] == "NoncompactSide"
 
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(profile_argvs("certify"))
+    @example(["certify", "--profile", "f0-kick", "--a", "2", "--b", "3", "--mu", "5",
+              "--r-max", "0", "--json"])
+    @example(["certify", "--profile", "f0-kick", "--a", "2", "--b", "3", "--mu", "1e300",
+              "--r-max", "1e3", "--json"])
+    def test_any_arguments_exit_0_1_2_with_strict_json(self, argv):
+        assert_exit_contract(argv)
+
 
 class TestBifurcateCommand:
     def test_arctan_report(self, capsys):
@@ -195,6 +243,14 @@ class TestBifurcateCommand:
         assert code == 0 and len(solves) == 1
         golden = Path(__file__).resolve().parents[1] / "bench" / "golden" / "bifurcate.json"
         assert capsys.readouterr().out == golden.read_text()
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(profile_argvs("bifurcate"))
+    @example(["bifurcate", "--profile", "f0-kick", "--json"])
+    @example(["bifurcate", "--profile", "fk-kick", "--json"])
+    @example(["bifurcate", "--profile", "bf-equality", "--json"])
+    def test_any_arguments_exit_0_1_2_with_strict_json(self, argv):
+        assert_exit_contract(argv)
 
 
 class TestSurfaceCommand:

@@ -403,17 +403,22 @@ class TestSolveResume:
         assert _solve_bits(resumed) == _solve_bits(fresh)
 
     def test_whole_pieces_are_taken_over(self, solves):
+        # every piece resumes from the stored one between the same cuts: the
+        # two solved to the same end share every step, the last the steps
+        # that neither end clamps
         spec = cf.KickSpec(1.0, E, E**2, 2.0, 0)
         prof = kick.kicked_profile(spec)
         longer = integrate_sl(prof, 1.0, 0.0, 1.0, 50.0, 1e-9)
         shorter = integrate_sl(prof, 1.0, 0.0, 1.0, 20.0, 1e-9)
-        assert [p for _, _, p in shorter.dense.pieces[:2]] == \
-            [p for _, _, p in longer.dense.pieces[:2]]
-        (_, _, last_piece), resumed = longer.dense.pieces[2], solves[-1]
-        assert len(solves) == 4 and resumed[1:3] == (E**2, 20.0) and resumed[6] is last_piece
-        assert shorter.solver_counts()["reused"] == (
-            sum(p.accepted for _, _, p in shorter.dense.pieces[:2])
-            + shorter.dense.pieces[2][2].reused)
+        fresh = integrate_sl(dataclasses.replace(prof), 1.0, 0.0, 1.0, 20.0, 1e-9)
+        assert _solve_bits(shorter) == _solve_bits(fresh)
+        stored = [p for _, _, p in longer.dense.pieces]
+        assert [args[6] for args in solves[3:6]] == stored
+        reused = [p.reused for _, _, p in shorter.dense.pieces]
+        print(f"reused {reused} of {[p.accepted for p in stored]} steps")
+        assert reused[:2] == [p.accepted for p in stored[:2]]
+        assert 0 < reused[2] < stored[2].accepted
+        assert shorter.solver_counts()["reused"] == sum(reused)
 
     def test_failed_resume_keeps_the_stored_solve(self, solves):
         with np.errstate(invalid="ignore"):
@@ -427,8 +432,8 @@ class TestSolveResume:
 
     def test_boundary_then_picone_solves_c_once(self, solves):
         # the sequence of acceptance check #09: boundary_test's search solves c
-        # once, to the node past r1; the Picone window takes its first two
-        # pieces whole and resumes the third
+        # once, to the node past r1; the Picone window resumes each of its
+        # three pieces from the search's and takes over all but one step
         ar = arctan_profile()
         c = CurvatureProfile(
             func=lambda r: ar.func(np.asarray(r)) * (1.0 + 0.05 * ((np.asarray(r) >= 1.0)
@@ -437,13 +442,16 @@ class TestSolveResume:
             breakpoints=(1.0, 2.0),
         )
         r1 = boundary_test(ar, c, r_max=1e4, tol=1e-9).second_zero
+        search = find_second_zero(c, 0.0, 1e4, 1e-9).trajectory  # stored, not solved again
         picone_residual(ar, c, 0.9 * r1, 1e-9)
-        on_c = [args for args in solves if args[0] is c]
-        assert [args[6] is None for args in on_c] == [True, True, True, False]
         window = integrate_sl(c, 0.0, 0.0, 1.0, 0.9 * r1, 1e-9)  # the stored Picone solve
+        on_c = [args[6] for args in solves if args[0] is c]
+        assert on_c == [None, None, None] + [p for _, _, p in search.dense.pieces]
+        fresh = integrate_sl(dataclasses.replace(c), 0.0, 0.0, 1.0, 0.9 * r1, 1e-9)
+        assert _solve_bits(window) == _solve_bits(fresh)
         counts = window.solver_counts()
         print(f"Picone window on c: {counts['reused']} of {counts['accepted']} steps reused")
-        assert counts["accepted"] - counts["reused"] <= 3
+        assert (counts["reused"], counts["accepted"]) == (158, 159)
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(kicked_re_solves())
@@ -471,10 +479,12 @@ class TestSolveResume:
         print(f"search to {search.trajectory.r_end!r}: {stopped}; "
               f"solve to 1e6 after it: {counts}; fresh: {fresh.solver_counts()}")
         assert _solve_bits(got) == _solve_bits(fresh)
-        assert counts["reused"] > 0
-        # the two pieces below b are taken whole and the third resumed
-        assert got.dense.pieces[:2] == search.trajectory.dense.pieces[:2]
-        assert solves[3][6] is search.trajectory.dense.pieces[2][2]
+        assert (counts["reused"], counts["accepted"]) == (207, 250)
+        # each piece resumes from the search's: the two below b share every
+        # step, the third continues from the node where the search stopped
+        stopped = [p for _, _, p in search.trajectory.dense.pieces]
+        assert [args[6] for args in solves[3:6]] == stopped
+        assert [p.reused for _, _, p in got.dense.pieces] == [p.accepted for p in stopped]
 
     def test_search_stops_on_a_breakpoint(self, solves):
         # b = 1 cut at 3.15 and 5: the first node past pi is the cut 3.15,
@@ -486,8 +496,11 @@ class TestSolveResume:
         full = integrate_sl(dataclasses.replace(prof), 0.0, 0.0, 1.0, 10.0, 1e-9)
         assert search.r1.hex() == float(full.zeros[0]).hex()
         got = integrate_sl(prof, 0.0, 0.0, 1.0, 10.0, 1e-9)
-        assert got.dense.pieces[0][2] is search.trajectory.dense.pieces[0][2]
         assert _solve_bits(got) == _solve_bits(full)
+        # the stopped piece reached its cut, so all its steps are taken over
+        (_, _, stopped), = search.trajectory.dense.pieces
+        assert solves[-3][6] is stopped and solves[-2][6] is None
+        assert got.solver_counts()["reused"] == got.dense.pieces[0][2].reused == stopped.accepted
 
 
 class TestDenseOutput:
@@ -527,8 +540,9 @@ class TestFindSecondZero:
         spec = cf.KickSpec(1.0, E, E**2, 0.0, 0)
         res = find_second_zero(kick.kicked_profile(spec), 1.0, 1e6, 1e-9)
         assert res.r1 is None
-        assert res.monotone
-        assert res.w_end > 0 and res.wp_end > 0  # evidence: still climbing
+        traj = res.trajectory  # solved to r_max: the evidence there was no zero
+        assert traj.r_end == 1e6 and len(traj.extrema) == 0
+        assert traj.w[-1] > 0 and traj.wp[-1] > 0  # still climbing
 
     def test_sturm_monotonicity_in_mu(self):
         # second zero is non-increasing along an increasing 10-point mu grid
