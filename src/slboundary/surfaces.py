@@ -22,7 +22,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .errors import DomainError
-from .sl_engine import CurvatureProfile, coefficient_func
+from .sl_engine import _GAUSS_W, _GAUSS_X, CurvatureProfile, coefficient_func
 
 #: curvature_profile's knots per decade of geodesic radius while r <= 100.
 KNOTS_PER_DECADE = 400
@@ -174,10 +174,14 @@ def geodesic_radius(s: RevolutionSurface, rho: float) -> float:
 
 
 def _profile_knots(s: RevolutionSurface, r_hi: float) -> tuple:
-    """(rho_j, r_j) knots whose geodesic radii cover (0, r_hi].
+    """(rho_j, r_j) knots whose geodesic radii cover (0, r_hi], at least two.
 
     Knots are dense (KNOTS_PER_DECADE) while r <= 100, where the Jacobi
-    response to curvature error is largest, and 4x sparser beyond.
+    response to curvature error is largest, and 4x sparser beyond.  r_0 is
+    the cap's arc, or _arc's quad from the pole; each later r_j adds the
+    8-point Gauss-Legendre rule on [rho_{j-1}, rho_j], summed in floats: the
+    step from one knot reads the last radius, so the knots come one at a
+    time, and 8 float terms cost less than a numpy call per knot.
     """
     if s.cap is not None:
         lo = s.cap.rho_c
@@ -186,24 +190,34 @@ def _profile_knots(s: RevolutionSurface, r_hi: float) -> tuple:
         lo = min(1e-6, 0.01 * r_hi)
         r_lo = _arc(s, 0.0, lo)
     sup = s.rho_domain[1]
+    dz = s.dz
+    rule = tuple(zip(_GAUSS_X.tolist(), _GAUSS_W.tolist()))
 
     rhos = [lo]
     rs = [r_lo]
     # Step so the knots are roughly uniform in log r (the interpolation
     # variable), while never crossing more than 1% of the remaining gap to
     # the domain boundary in a single step.
-    while rs[-1] < r_hi * 1.005:
+    while len(rs) < 2 or rs[-1] < r_hi * 1.005:
         dense = max(KNOTS_PER_DECADE // 4, 25) if rs[-1] > 100.0 else KNOTS_PER_DECADE
         cur, r_cur = rhos[-1], rs[-1]
-        zp = s.dz(cur)
+        zp = dz(cur)
         d_rho = r_cur * (10.0 ** (1.0 / dense) - 1.0) / math.sqrt(1.0 + zp * zp)
         if math.isfinite(sup):
             d_rho = min(d_rho, 0.01 * (sup - cur))
         nxt = cur + d_rho
         if nxt <= cur:
             raise DomainError("knot generation stalled; r_hi unreachable")
+        h = nxt - cur
+        arc = 0.0
+        for x, weight in rule:
+            zp = dz(cur + h * x)
+            arc += weight * math.sqrt(1.0 + zp * zp)
+        arc *= h
+        if not math.isfinite(arc):
+            raise DomainError(f"arc-length quadrature failed on [{cur}, {nxt}]")
         rhos.append(nxt)
-        rs.append(r_cur + _arc(s, cur, nxt))
+        rs.append(r_cur + arc)
     return np.asarray(rhos), np.asarray(rs)
 
 
@@ -230,18 +244,25 @@ def curvature_profile(s: RevolutionSurface, r_grid) -> CurvatureProfile:
 
     Returns a CurvatureProfile defined on [0, max(r_grid)]: constant cap
     curvature inside the blend, then the exact curvature formula evaluated
-    at the inverse geodesic map.  That map is interpolated in log-log
-    coordinates, where it is nearly affine, by the cubic Hermite spline
-    through the knots with the map's exact slopes (_hermite_knots) rather
-    than estimated ones, so the jumps of b'' at the knots are as small as
-    the interpolation error.  Interpolating the radius map instead of the
-    curvature itself keeps the relative curvature error near 1e-11; the
-    Jacobi equation amplifies any systematic bias linearly in r, so this
-    matters for long integrations.  This is the Jacobi coefficient for
-    meridian geodesics in dimension 2.
+    at the inverse geodesic map.  Only max(r_grid) is read; a grid that is
+    empty, holds a negative or non-finite radius, or has no positive one
+    raises DomainError.  The map is tabulated at _profile_knots' knots,
+    whose radii sum the 8-point Gauss-Legendre rule knot to knot, and
+    interpolated in log-log coordinates, where it is nearly affine, by the
+    cubic Hermite spline through the knots with the map's exact slopes
+    (_hermite_knots) rather than estimated ones, so the jumps of b'' at the
+    knots are as small as the interpolation error.  Interpolating the radius
+    map instead of the curvature itself keeps the relative curvature error
+    near 1e-11; the Jacobi equation amplifies any systematic bias linearly
+    in r, so this matters for long integrations.  This is the Jacobi
+    coefficient for meridian geodesics in dimension 2.
     """
     r_grid = np.asarray(r_grid, dtype=float)
+    if r_grid.size == 0 or not np.all(np.isfinite(r_grid) & (r_grid >= 0.0)):
+        raise DomainError("r_grid must be a non-empty set of finite, non-negative radii")
     r_hi = float(np.max(r_grid))
+    if r_hi <= 0.0:
+        raise DomainError("r_grid must reach a positive radius")
     rhos, rs = _profile_knots(s, r_hi)
     sup = s.rho_domain[1]
     finite = math.isfinite(sup)

@@ -4,12 +4,14 @@ profile pipeline feeding the bifurcator classifier."""
 import csv
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.optimize import brentq
 
 from slboundary import bifurcator as bf
+from slboundary import planar
 from slboundary import surfaces as sf
 from slboundary.errors import DomainError
 from slboundary.sl_engine import integrate_sl
@@ -205,6 +207,65 @@ class TestCurvatureProfile:
         prof = sf.curvature_profile(cc, np.geomspace(0.1, 100.0, 8))
         with pytest.raises(DomainError):
             prof(150.0)
+
+    @pytest.mark.parametrize("name", ["capped-cylinder", "paraboloid"])
+    @pytest.mark.parametrize("r_grid", [[math.nan, 1.0], [0.0], [-1.0], []],
+                             ids=["nan", "zero", "negative", "empty"])
+    def test_meaningless_grid_refused(self, name, r_grid):
+        s = sf.capped_cylinder() if name == "capped-cylinder" else sf.paraboloid()
+        with pytest.raises(DomainError):
+            sf.curvature_profile(s, r_grid)
+
+    def test_grid_inside_the_cap(self):
+        # r_hi below the cap's arc still tabulates past it, so both kernels
+        # read the cap's curvature
+        cc = sf.capped_cylinder()
+        prof = sf.curvature_profile(cc, [0.01])
+        assert prof(0.005) == cc.cap.gauss()
+        assert np.all(prof.func(np.array([0.001, 0.005])) == cc.cap.gauss())
+
+    def test_paraboloid_knot_radii(self):
+        # every knot against the closed-form arclength of y = x^2
+        rhos, rs = sf._profile_knots(sf.paraboloid(), 1.1e4)
+        worst = np.max(np.abs(rs / planar.parabola_arclength(1.0, rhos) - 1.0))
+        print(f"paraboloid: {len(rs)} knots, largest relative error {worst:.3g}")
+        assert worst <= 4e-15
+
+    def test_cylinder_knot_radii(self):
+        # 12 knots, the last included, against the cap's arc plus mpmath's
+        # quadrature of sqrt(1 + z'^2) at 30 digits, split at the dyadic
+        # points 1 - 2^-k toward the cylinder's end rho = 1
+        s = sf.capped_cylinder(0.05)
+        rhos, rs = sf._profile_knots(s, 2.2e4)
+        mp = mpmath.mp.clone()
+        mp.dps = 30
+
+        def arc(a, b):
+            points = [a] + [1 - mp.mpf(2) ** -k for k in range(1, 60)
+                            if a < 1 - mp.mpf(2) ** -k < b] + [b]
+            return mp.quad(lambda u: mp.sqrt(1 + (1 - u) ** -4), points)
+
+        lo, ref, worst = mp.mpf(s.cap.rho_c), mp.mpf(s.cap.arc), 0.0
+        for i in np.unique(np.linspace(0, len(rhos) - 1, 12).astype(int)):
+            hi = mp.mpf(float(rhos[i]))
+            ref += arc(lo, hi)
+            lo = hi
+            worst = max(worst, abs(float((rs[i] - ref) / ref)))
+        print(f"capped-cylinder: last knot r = {rs[-1]:.2f}, "
+              f"largest relative error {worst:.3g}")
+        assert worst <= 1e-14
+
+    def test_nan_slope_refused(self):
+        # z' is NaN beyond rho = 2: the knot arcs reach it and refuse
+        s = sf.RevolutionSurface(
+            z=lambda rho: rho * rho,
+            dz=lambda rho: 2.0 * rho if rho < 2.0 else math.nan,
+            d2z=lambda rho: 2.0,
+            rho_domain=(0.0, math.inf),
+            label="nan-slope",
+        )
+        with pytest.raises(DomainError):
+            sf.curvature_profile(s, np.geomspace(0.1, 100.0, 8))
 
 
 class TestCsvExport:
